@@ -144,7 +144,7 @@ def cmd_sample(args) -> int:
     manifest = RunManifest.begin(
         "sample",
         {"law": args.law, "mu": args.mu, "n": args.n, "count": count,
-         "steps": args.steps, "threads": args.threads},
+         "steps": args.steps},
         seed, args.deterministic,
     )
     meta = BatchMeta()
@@ -157,7 +157,6 @@ def cmd_sample(args) -> int:
         config = SpiderConfig(n=n, steps=args.steps, paths=count, seed=seed)
         run_manifest_path = csv_path.with_suffix(".run.json")
         run_walk_batch(config, None, csv_path, run_manifest_path,
-                       threads=args.threads,
                        record_wall_time=not args.deterministic)
         manifest.outputs += [str(csv_path), str(run_manifest_path)]
         manifest.finish(manifest_path, args.deterministic)
@@ -295,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, help="path count for --law spider-walk")
     p.add_argument("--steps", type=int, help="walk length for --law spider-walk")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_sample)

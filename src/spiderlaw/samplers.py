@@ -177,15 +177,27 @@ def sample_c_mu(params: StableParams, rng: RngStream, size=None,
     return _clean(draw, np.isfinite, size, meta)
 
 
+def _expit(x):
+    """1 / (1 + exp(-x)), without overflow for either sign of x."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sample_ratio_A(params: StableParams, rng: RngStream, size=None,
                    meta: BatchMeta | None = None):
-    """A = S' / (S' + S) = 1 / (1 + X), strictly inside (0, 1)."""
+    """A = S' / (S' + S) = 1 / (1 + X) for independent stable(mu) S, S'.
+
+    Formed in log space as expit(log S' - log S), so the two tails round
+    alike; a draw that rounds to 0.0 or 1.0 is a correct float result and is
+    kept.
+    """
 
     def draw(k):
-        return 1.0 / (1.0 + sample_ratio_X(params, rng, k, meta))
+        s = sample_positive_stable(params, rng, k, meta)
+        s_prime = sample_positive_stable(params, rng, k, meta)
+        return _expit(np.log(s_prime) - np.log(s))
 
-    ok = lambda v: np.isfinite(v) & (v > 0.0) & (v < 1.0)
-    return _clean(draw, ok, size, meta)
+    return _clean(draw, np.isfinite, size, meta)
 
 
 def sample_occupation_exact(n: int, rng: RngStream, size=None,

@@ -2,32 +2,34 @@
 
 The walk lives on n half-lines glued at the origin: at radial distance
 d >= 1 it steps to d +/- 1 with probability 1/2 each, and from the origin it
-steps to distance 1 on a ray chosen uniformly.  Each of the ``steps`` unit
-steps is attributed to the ray being walked (a step leaving the origin counts
-for the freshly chosen ray), so occupation counts always sum exactly to the
-number of steps; the origin itself carries no occupation.
+steps to distance 1 on a ray chosen uniformly.  Each unit step is attributed
+to the ray being walked (a step leaving the origin counts for the freshly
+chosen ray), so occupation counts always sum exactly to the number of steps;
+the origin itself carries no occupation.
 
-Two engines produce identical laws:
+One excursion engine serves plain walks and all three stopping rules.  A
+path is the iid sequence of its excursions away from the origin, each a
+(ray, first-return length) pair: the ray is uniform and the length follows
+the first-return law P(T > 2k) = C(2k, k) 4**-k of the +/-1 walk (Feller,
+vol. 1, ch. III).  Every rule is a running total crossing a threshold --
+steps walked (fixed time), steps on the chosen ray (inverse occupation) or
+origin returns (inverse local time) -- and the stopped path is: all complete
+excursions before the crossing one, plus the part of the crossing excursion
+walked up to the threshold.  An excursion that ends exactly at the threshold
+is complete.  This is the same deterministic function of the excursion
+sequence that a step-by-step walk computes, so the laws agree exactly; the
+unit tests cross-check every rule against a stepwise reference.  The cost
+grows with the number of excursions, about sqrt(steps), not with steps.
 
-* a vectorised stepwise engine used for plain paths and fixed-time stops.
-  It exploits the fact that the radial part is the absolute value of a plain
-  +/-1 walk, so one cumulative sum per path yields the distance profile, the
-  zero set, and the excursion boundaries; rays are then assigned per
-  excursion.
-* an excursion-jump engine used for the inverse stopping rules, whose
-  stopping times have stable(1/2) tails and routinely overshoot any fixed
-  step horizon.  It draws the iid (ray, first-return-length) excursion
-  sequence directly -- the first-return law P(T > 2k) = C(2k, k) 4**-k is
-  inverted exactly from a table, with the standard asymptotic continuation
-  past table range -- and resolves the stopping rule on whole excursions plus
-  the partial crossing excursion.  The stopped occupation vector is the same
-  deterministic function of the excursion sequence in both engines, so the
-  laws agree exactly; the unit tests cross-check this against a stepwise
-  reference.
+First-return lengths are inverted exactly from a table up to 2**21 steps,
+so fixed-time laws are exact for horizons of up to 2**21 steps.  Longer
+excursions use the far-tail asymptotic P(T > 2k) ~ (pi k)**-1/2 (1 - 1/(8k)),
+whose inversion is accurate to well under one step.
 
-Each path owns a private substream ``(seed, composite_stream_id(run_id, p))``,
-making batches reproducible bit for bit regardless of chunking or worker
-count.
+Each path owns a private substream ``(seed, composite_stream_id(run_id, p))``
+and draws it in rounds of a fixed number of excursions that depends only on
+the configuration and the rule, so batches are reproducible bit for bit
+regardless of how many paths they hold.
 """
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,8 @@ DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
 DEFAULT_CAP_MULTIPLIER = 1.0e5
 
-_CHUNK_BYTES = 1 << 26
-_OCC_BLOCK = 128
+_MAX_RAYS = 32767  # rays are floor(n v); checked to stay below n for all v < 1
+_ROUND_ELEMENTS = 1 << 18  # excursions drawn per round across a group of paths
 
 
 # ---------------------------------------------------------------------------
@@ -60,9 +61,9 @@ _OCC_BLOCK = 128
 class SpiderConfig:
     """Walk geometry and Monte-Carlo budget.
 
-    ``n = 1`` is allowed purely as a reflecting-walk sanity configuration;
-    statistical runs enforce ``steps >= 1000`` unless ``allow_small_steps``
-    is set (unit tests use tiny walks).
+    ``n = 1`` (a reflecting walk) is allowed for plain walks; stopping rules
+    need two rays.  Statistical runs enforce ``steps >= 1000`` unless
+    ``allow_small_steps`` is set (unit tests use tiny walks).
     """
 
     n: int
@@ -72,8 +73,9 @@ class SpiderConfig:
     allow_small_steps: bool = False
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ParameterDomainError(f"ray count must be an integer >= 1: {self.n}")
+        if int(self.n) != self.n or not 1 <= self.n <= _MAX_RAYS:
+            raise ParameterDomainError(
+                f"ray count must be an integer in [1, {_MAX_RAYS}]: {self.n}")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ParameterDomainError(f"steps must be a positive integer: {self.steps}")
         if self.steps < 1000 and not self.allow_small_steps:
@@ -94,7 +96,6 @@ class SpiderPathSummary:
     zero_visits: int
     last_zero_step: int
     final_ray: int
-    final_distance: int
 
     def __post_init__(self):
         if sum(self.occupation_counts) != self.steps:
@@ -161,11 +162,10 @@ class StoppingRule:
             raise ParameterDomainError(
                 f"ray {self.ray} out of range for an {config.n}-ray spider"
             )
-        if self.kind == "inverse_local_time":
-            if math.floor(self.level * math.sqrt(config.steps)) < 1:
-                raise ParameterDomainError(
-                    "local-time level below one origin visit at this lattice scale"
-                )
+        if self.kind == "inverse_local_time" and self.threshold(config) < 1:
+            raise ParameterDomainError(
+                "local-time level below one origin visit at this lattice scale"
+            )
 
     def nominal_steps(self, config: SpiderConfig) -> int:
         if self.kind == "fixed_time":
@@ -176,6 +176,18 @@ class StoppingRule:
 
     def cap_steps(self, config: SpiderConfig) -> int:
         return int(math.ceil(self.cap_multiplier * self.nominal_steps(config)))
+
+    def threshold(self, config: SpiderConfig) -> int:
+        """The running total at which the rule fires: steps walked, steps on
+        the chosen ray, or origin returns."""
+        if self.kind == "fixed_time":
+            return self.nominal_steps(config)
+        if self.kind == "inverse_occupation":
+            return math.floor(self.level * config.steps) + 1
+        return math.floor(self.level * math.sqrt(config.steps))
+
+
+_PLAIN_WALK = StoppingRule.fixed_time(1.0)
 
 
 @dataclass
@@ -188,7 +200,6 @@ class WalkBatch:
     zero_visits: np.ndarray
     last_zero_step: np.ndarray
     final_ray: np.ndarray
-    final_distance: np.ndarray
 
     @property
     def fractions(self) -> np.ndarray:
@@ -206,7 +217,6 @@ class WalkBatch:
             zero_visits=int(self.zero_visits[i]),
             last_zero_step=int(self.last_zero_step[i]),
             final_ray=int(self.final_ray[i]),
-            final_distance=int(self.final_distance[i]),
         )
 
 
@@ -243,7 +253,49 @@ class StopBatch:
 
 
 # ---------------------------------------------------------------------------
-# stepwise engine
+# exact first-return lengths
+# ---------------------------------------------------------------------------
+
+_RETURN_TABLE_K = 1 << 20
+_return_tail: np.ndarray | None = None
+
+
+def _return_tail_table() -> np.ndarray:
+    """P(T > 2k) for k = 0..K, then a 0.0 sentinel at K + 1."""
+    global _return_tail
+    if _return_tail is None:
+        k = np.arange(1, _RETURN_TABLE_K + 1, dtype=np.float64)
+        tail = np.zeros(_RETURN_TABLE_K + 2)
+        tail[0] = 1.0
+        np.cumprod((2.0 * k - 1.0) / (2.0 * k), out=tail[1:-1])
+        _return_tail = tail
+    return _return_tail
+
+
+def _first_return_lengths(u: np.ndarray) -> np.ndarray:
+    """Invert uniforms on (0, 1] into first-return times of the +/-1 walk.
+
+    The length is 2k for the least k with P(T > 2k) < u.  The asymptotic
+    inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it everywhere
+    in the table, so one step up and one step down against the table make it
+    exact there; past the table (lengths over 2**21) the asymptotic value
+    stands.
+    """
+    tail = _return_tail_table()
+    k = np.multiply(u, u)
+    k *= np.pi
+    np.divide(1.0, k, out=k)
+    k += 0.75
+    np.floor(k, out=k)
+    idx = np.minimum(k, _RETURN_TABLE_K).astype(np.intp)
+    idx += tail[idx] >= u
+    idx -= tail[idx - 1] < u
+    far = idx > _RETURN_TABLE_K  # u <= P(T > 2K): only the sentinel lies below
+    return 2.0 * np.where(far, k, idx)
+
+
+# ---------------------------------------------------------------------------
+# the excursion engine
 # ---------------------------------------------------------------------------
 
 def _path_generator(config: SpiderConfig, run_id: int, index: int):
@@ -251,97 +303,136 @@ def _path_generator(config: SpiderConfig, run_id: int, index: int):
     return stream.generator
 
 
-def _stepwise_chunk(gens, steps: int, n: int):
-    """Run len(gens) paths for ``steps`` steps; returns column arrays.
+def _block_size(config: SpiderConfig, rule: StoppingRule) -> int:
+    """Excursions each path draws per round.
 
-    Per path the draw order is fixed: the +/-1 sign sequence first, then one
-    uniform ray per excursion started before time ``steps``.
+    The local-time rule needs exactly its threshold.  The other rules stop
+    after about sqrt(2 t / pi) excursions for a horizon of t steps, with a
+    half-normal spread, so sqrt(t) per round stops most paths in one round.
     """
-    m = len(gens)
-    signs = np.empty((m, steps), dtype=np.int8)
-    for i, g in enumerate(gens):
-        signs[i] = g.integers(0, 2, size=steps, dtype=np.int8)
-    signs *= 2
-    signs -= 1
-    dist = np.cumsum(signs, axis=1, dtype=np.int32)
-    np.abs(dist, out=dist)
-    zero = dist == 0  # positions at times 1..steps
+    if rule.kind == "inverse_local_time":
+        return rule.threshold(config)
+    return math.ceil(math.sqrt(rule.nominal_steps(config)))
 
-    zero_visits = 1 + zero.sum(axis=1, dtype=np.int64)
 
-    # excursion index of each step: zeros among strictly earlier times
-    eid = np.zeros((m, steps), dtype=np.int32)
-    if steps > 1:
-        np.cumsum(zero[:, :-1], axis=1, dtype=np.int32, out=eid[:, 1:])
-    n_exc = eid[:, -1] + 1
+def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
+    """Stop one path per generator by ``rule``; returns column arrays.
 
-    rays = np.zeros((m, int(n_exc.max())), dtype=np.int16)
-    for i, g in enumerate(gens):
-        k = int(n_exc[i])
-        rays[i, :k] = g.integers(0, n, size=k, dtype=np.int16)
-    step_ray = np.take_along_axis(rays, eid, axis=1)
+    Per round, each live path makes one draw of 2 * block uniforms: the
+    first block picks the rays (floor(n v)), the second gives the
+    first-return lengths (inverted from 1 - v, which lies in (0, 1]).
+    """
+    n, m = config.n, len(gens)
+    block = _block_size(config, rule)
+    thresh = float(rule.threshold(config))
+    cap = float(rule.cap_steps(config))
 
-    flat = (np.arange(m, dtype=np.int64)[:, None] * n + step_ray).ravel()
-    counts = np.bincount(flat, minlength=m * n).reshape(m, n).astype(np.int64)
+    counts = np.zeros((m, n))
+    progress = np.zeros(m)  # the rule's running total
+    complete = np.zeros(m, dtype=np.int64)  # excursions finished so far
+    zero_visits = np.zeros(m, dtype=np.int64)
+    last_zero = np.zeros(m)
+    final_ray = np.zeros(m, dtype=np.int64)
+    discarded = np.zeros(m, dtype=bool)
+    alive = np.arange(m)
+    slot = np.arange(block)
 
-    has_return = zero.any(axis=1)
-    last_col = steps - 1 - np.argmax(zero[:, ::-1], axis=1)
-    last_zero = np.where(has_return, last_col + 1, 0).astype(np.int64)
+    while alive.size:
+        a = alive.size
+        draws = np.empty((a, 2, block))
+        for i, p in enumerate(alive):
+            gens[p].random(out=draws[i])
+        rays = np.floor(draws[:, 0] * n).astype(np.intp)
+        lengths = _first_return_lengths(1.0 - draws[:, 1])
 
+        if rule.kind == "fixed_time":
+            gain = lengths
+        elif rule.kind == "inverse_occupation":
+            gain = np.where(rays == rule.ray - 1, lengths, 0.0)
+        else:
+            gain = np.ones_like(lengths)
+        cum = progress[alive, None] + np.cumsum(gain, axis=1)
+        crossed = cum >= thresh
+        hit = crossed.any(axis=1)
+        pos = np.where(hit, crossed.argmax(axis=1), block)
+
+        # complete excursions before the crossing one (the whole round when
+        # the rule has not fired), summed per (path, ray) in one pass
+        rows = np.arange(a)
+        flat = rays + (rows * n)[:, None]
+        weights = np.where(slot < pos[:, None], lengths, 0.0)
+        counts[alive] += np.bincount(flat.ravel(), weights.ravel(),
+                                     minlength=a * n).reshape(a, n)
+
+        # the crossing excursion is walked up to the threshold; one that
+        # lands exactly on it (always so for local time) is complete
+        h, ph = rows[hit], pos[hit]
+        idx = alive[h]
+        ray_h, len_h = rays[h, ph], lengths[h, ph]
+        exact = cum[h, ph] == thresh
+        before = np.where(ph > 0, cum[h, ph - 1], progress[idx])
+        part = np.where(exact, len_h, thresh - before)
+        counts[idx, ray_h] += part
+        tau = counts[idx].sum(axis=1)
+        zero_visits[idx] = 1 + complete[idx] + ph + exact
+        last_zero[idx] = np.where(exact, tau, tau - part)
+        final_ray[idx] = ray_h
+        discarded[idx] = tau > cap
+
+        o = rows[~hit]
+        idx = alive[o]
+        progress[idx] = cum[o, -1]
+        complete[idx] += block
+        over = counts[idx].sum(axis=1) > cap
+        discarded[idx[over]] = True
+        alive = idx[~over]
+
+    keep = ~discarded
+    counts[discarded] = 0.0
     return {
         "counts": counts,
-        "zero_visits": zero_visits,
-        "last_zero_step": last_zero,
-        "final_ray": step_ray[:, -1].astype(np.int64),
-        "final_distance": dist[:, -1].astype(np.int64),
+        "stopped_step": np.where(keep, counts.sum(axis=1), 0.0).astype(np.int64),
+        "zero_visits": np.where(keep, zero_visits, 0),
+        "last_zero_step": np.where(keep, last_zero, 0.0).astype(np.int64),
+        "final_ray": final_ray,
+        "discarded": discarded,
     }
 
 
-def _chunk_bounds(paths: int, steps: int):
-    rows = max(1, _CHUNK_BYTES // (12 * steps))
-    return [(lo, min(lo + rows, paths)) for lo in range(0, paths, rows)]
+def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dict:
+    """Stop ``config.paths`` paths on their own substreams, a group at a time."""
+    group = max(1, _ROUND_ELEMENTS // _block_size(config, rule))
+    parts = []
+    for lo in range(0, config.paths, group):
+        hi = min(lo + group, config.paths)
+        parts.append(_resolve(config, rule, [_path_generator(config, run_id, p)
+                                             for p in range(lo, hi)]))
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def simulate_batch(config: SpiderConfig, run_id: int = 0, threads: int = 1) -> WalkBatch:
+def _check_stoppable(config: SpiderConfig, rule: StoppingRule):
+    rule.validate_for(config)
+    if config.n < 2:
+        raise UsageError("stopping rules need at least 2 rays")
+
+
+def _walk_batch(config: SpiderConfig, run_id: int, cols: dict) -> WalkBatch:
+    return WalkBatch(config=config, run_id=run_id,
+                     counts=cols["counts"].astype(np.int64),
+                     zero_visits=cols["zero_visits"],
+                     last_zero_step=cols["last_zero_step"],
+                     final_ray=cols["final_ray"])
+
+
+def simulate_batch(config: SpiderConfig, run_id: int = 0) -> WalkBatch:
     """Simulate ``config.paths`` independent paths of ``config.steps`` steps."""
-    paths, steps, n = config.paths, config.steps, config.n
-    out = {
-        "counts": np.empty((paths, n), dtype=np.int64),
-        "zero_visits": np.empty(paths, dtype=np.int64),
-        "last_zero_step": np.empty(paths, dtype=np.int64),
-        "final_ray": np.empty(paths, dtype=np.int64),
-        "final_distance": np.empty(paths, dtype=np.int64),
-    }
-
-    def run(span):
-        lo, hi = span
-        gens = [_path_generator(config, run_id, p) for p in range(lo, hi)]
-        return lo, hi, _stepwise_chunk(gens, steps, n)
-
-    spans = _chunk_bounds(paths, steps)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, spans))
-    else:
-        results = [run(s) for s in spans]
-    for lo, hi, chunk in results:
-        for key, arr in chunk.items():
-            out[key][lo:hi] = arr
-    return WalkBatch(config=config, run_id=run_id, **out)
+    return _walk_batch(config, run_id, _resolve_batch(config, _PLAIN_WALK, run_id))
 
 
 def simulate_path(config: SpiderConfig, rng: RngStream) -> SpiderPathSummary:
     """Run one path on the caller's stream and summarise it."""
-    chunk = _stepwise_chunk([rng.generator], config.steps, config.n)
-    return SpiderPathSummary(
-        n=config.n,
-        steps=config.steps,
-        occupation_counts=tuple(int(c) for c in chunk["counts"][0]),
-        zero_visits=int(chunk["zero_visits"][0]),
-        last_zero_step=int(chunk["last_zero_step"][0]),
-        final_ray=int(chunk["final_ray"][0]),
-        final_distance=int(chunk["final_distance"][0]),
-    )
+    cols = _resolve(config, _PLAIN_WALK, [rng.generator])
+    return _walk_batch(config, 0, cols).summary(0)
 
 
 def occupation_fraction(summary: SpiderPathSummary) -> SimplexVector:
@@ -362,235 +453,31 @@ def local_time_proxy(summary: SpiderPathSummary) -> float:
 
 
 # ---------------------------------------------------------------------------
-# excursion engine: exact first-return lengths
-# ---------------------------------------------------------------------------
-
-_RETURN_TABLE_K = 1 << 20
-_return_tail_asc: np.ndarray | None = None
-
-
-def _return_tail_table() -> np.ndarray:
-    """P(T > 2k) for k = 0..K, ascending (reversed) for searchsorted."""
-    global _return_tail_asc
-    if _return_tail_asc is None:
-        k = np.arange(1, _RETURN_TABLE_K + 1, dtype=np.float64)
-        tail = np.empty(_RETURN_TABLE_K + 1)
-        tail[0] = 1.0
-        np.cumprod((2.0 * k - 1.0) / (2.0 * k), out=tail[1:])
-        _return_tail_asc = tail[::-1].copy()
-    return _return_tail_asc
-
-
-def _first_return_lengths(u: np.ndarray) -> np.ndarray:
-    """Invert uniforms into first-return times of the +/-1 walk.
-
-    Exact inverse-CDF over the tabulated range (about 2 million steps); the
-    far tail uses the asymptotic P(T > 2k) ~ (pi k)**-1/2 (1 - 1/(8k)), whose
-    inversion k = 1/(pi u^2) - 1/4 is accurate to well under one unit there.
-    """
-    asc = _return_tail_table()
-    k = (_RETURN_TABLE_K + 1 - np.searchsorted(asc, u, side="left")).astype(np.float64)
-    far = u <= asc[0]
-    if np.any(far):
-        uf = u[far]
-        k[far] = np.rint(1.0 / (np.pi * uf * uf) - 0.25)
-    return 2.0 * k
-
-
-# ---------------------------------------------------------------------------
 # stopping rules
 # ---------------------------------------------------------------------------
 
-def _stop_fixed_batch(config, rule, run_id):
-    horizon = rule.nominal_steps(config)
-    walk_cfg = replace(config, steps=horizon, allow_small_steps=True)
-    walk = simulate_batch(walk_cfg, run_id=run_id)
-    paths = config.paths
-    return StopBatch(
-        config=config,
-        rule=rule,
-        run_id=run_id,
-        counts=walk.counts,
-        stopped_step=np.full(paths, horizon, dtype=np.int64),
-        zero_visits=walk.zero_visits,
-        last_zero_step=walk.last_zero_step,
-        discarded=np.zeros(paths, dtype=bool),
-    )
-
-
-def _stop_local_time_batch(config, rule, run_id):
-    n, paths = config.n, config.paths
-    m_exc = int(math.floor(rule.level * math.sqrt(config.steps)))
-    cap = rule.cap_steps(config)
-    counts = np.zeros((paths, n), dtype=np.float64)
-    taus = np.zeros(paths, dtype=np.float64)
-    for p in range(paths):
-        g = _path_generator(config, run_id, p)
-        rays = g.integers(0, n, size=m_exc)
-        lengths = _first_return_lengths(g.random(m_exc))
-        counts[p] = np.bincount(rays, weights=lengths, minlength=n)
-        taus[p] = lengths.sum()
-    discarded = taus > cap
-    stopped = np.where(discarded, 0, taus).astype(np.int64)
-    return StopBatch(
-        config=config,
-        rule=rule,
-        run_id=run_id,
-        counts=np.where(discarded[:, None], 0, counts),
-        stopped_step=stopped,
-        zero_visits=np.where(discarded, 0, m_exc + 1).astype(np.int64),
-        last_zero_step=stopped.copy(),  # the rule fires at an origin visit
-        discarded=discarded,
-    )
-
-
-def _stop_occupation_batch(config, rule, run_id):
-    n, paths = config.n, config.paths
-    j = rule.ray - 1
-    thresh = math.floor(rule.level * config.steps) + 1.0
-    cap = float(rule.cap_steps(config))
-
-    gens = [_path_generator(config, run_id, p) for p in range(paths)]
-    counts = np.zeros((paths, n), dtype=np.float64)
-    cum_j = np.zeros(paths)
-    n_exc = np.zeros(paths, dtype=np.int64)
-    taus = np.zeros(paths)
-    zero_visits = np.zeros(paths, dtype=np.int64)
-    last_zero = np.zeros(paths)
-    discarded = np.zeros(paths, dtype=bool)
-    alive = np.arange(paths)
-
-    while alive.size:
-        b = _OCC_BLOCK
-        rays = np.empty((alive.size, b), dtype=np.int16)
-        lengths = np.empty((alive.size, b))
-        for i, p in enumerate(alive):
-            rays[i] = gens[p].integers(0, n, size=b, dtype=np.int16)
-            lengths[i] = _first_return_lengths(gens[p].random(b))
-
-        on_j = rays == j
-        cum = cum_j[alive, None] + np.cumsum(np.where(on_j, lengths, 0.0), axis=1)
-        crossed = cum >= thresh
-        has_cross = crossed.any(axis=1)
-        pos = np.argmax(crossed, axis=1)
-
-        # per-ray totals of the complete excursions before the crossing point
-        # (or of the whole block for rows that did not cross)
-        upto = np.where(has_cross, pos, b)
-        col = np.arange(b)[None, :]
-        before = col < upto[:, None]
-        block_counts = np.empty((alive.size, n))
-        for r in range(n):
-            block_counts[:, r] = np.where(before & (rays == r), lengths, 0.0).sum(axis=1)
-
-        rows = np.arange(alive.size)
-        cross_rows = rows[has_cross]
-        if cross_rows.size:
-            p_idx = alive[cross_rows]
-            cum_before = cum[cross_rows, pos[cross_rows]] - lengths[cross_rows, pos[cross_rows]]
-            need = thresh - cum_before
-            fin = counts[p_idx] + block_counts[cross_rows]
-            fin[:, j] = thresh
-            tau = fin.sum(axis=1)
-            exact_landing = cum[cross_rows, pos[cross_rows]] == thresh
-            counts[p_idx] = fin
-            taus[p_idx] = tau
-            zero_visits[p_idx] = n_exc[p_idx] + pos[cross_rows] + 1 + exact_landing
-            last_zero[p_idx] = np.where(exact_landing, tau, tau - need)
-            discarded[p_idx] = tau > cap
-
-        open_rows = rows[~has_cross]
-        if open_rows.size:
-            p_idx = alive[open_rows]
-            counts[p_idx] += block_counts[open_rows]
-            cum_j[p_idx] = cum[open_rows, -1]
-            n_exc[p_idx] += b
-            running = counts[p_idx].sum(axis=1)
-            over = running > cap
-            discarded[p_idx[over]] = True
-            alive = p_idx[~over]
-        else:
-            alive = np.empty(0, dtype=np.int64)
-
-    keep = ~discarded
-    return StopBatch(
-        config=config,
-        rule=rule,
-        run_id=run_id,
-        counts=np.where(keep[:, None], counts, 0.0),
-        stopped_step=np.where(keep, taus, 0).astype(np.int64),
-        zero_visits=np.where(keep, zero_visits, 0),
-        last_zero_step=np.where(keep, last_zero, 0).astype(np.int64),
-        discarded=discarded,
-    )
-
-
 def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = 0) -> StopBatch:
     """Stop every path of the batch by ``rule``; discards are flagged, not dropped."""
-    rule.validate_for(config)
-    if config.n < 2:
-        raise UsageError("stopping rules need at least 2 rays")
-    if rule.kind == "fixed_time":
-        return _stop_fixed_batch(config, rule, run_id)
-    if rule.kind == "inverse_local_time":
-        return _stop_local_time_batch(config, rule, run_id)
-    return _stop_occupation_batch(config, rule, run_id)
+    _check_stoppable(config, rule)
+    cols = _resolve_batch(config, rule, run_id)
+    del cols["final_ray"]
+    return StopBatch(config=config, rule=rule, run_id=run_id, **cols)
 
 
 def stop_at(config: SpiderConfig, rule: StoppingRule, rng: RngStream):
     """Stop a single path on the caller's stream; returns (SimplexVector, step).
 
-    The draw order per rule matches the batch engines, so path p of a batch
-    equals ``stop_at`` on the stream ``(seed, composite_stream_id(run_id, p))``.
-    Raises :class:`CapBreachedError` when the rule does not fire within the
-    cap, which callers must treat as a discarded path.
+    Path p of a batch equals ``stop_at`` on the stream
+    ``(seed, composite_stream_id(run_id, p))``.  Raises
+    :class:`CapBreachedError` when the rule does not fire within the cap,
+    which callers must treat as a discarded path.
     """
-    rule.validate_for(config)
-    if config.n < 2:
-        raise UsageError("stopping rules need at least 2 rays")
-    n = config.n
-    g = rng.generator
-    cap = rule.cap_steps(config)
-
-    if rule.kind == "fixed_time":
-        horizon = rule.nominal_steps(config)
-        chunk = _stepwise_chunk([g], horizon, n)
-        return SimplexVector(tuple(chunk["counts"][0] / horizon)), horizon
-
-    if rule.kind == "inverse_local_time":
-        m_exc = int(math.floor(rule.level * math.sqrt(config.steps)))
-        rays = g.integers(0, n, size=m_exc)
-        lengths = _first_return_lengths(g.random(m_exc))
-        tau = lengths.sum()
-        if tau > cap:
-            raise CapBreachedError(cap)
-        counts = np.bincount(rays, weights=lengths, minlength=n)
-        return SimplexVector(tuple(counts / tau)), int(tau)
-
-    j = rule.ray - 1
-    thresh = math.floor(rule.level * config.steps) + 1.0
-    counts = np.zeros(n)
-    cum_j = 0.0
-    while True:
-        rays = g.integers(0, n, size=_OCC_BLOCK, dtype=np.int16)
-        lengths = _first_return_lengths(g.random(_OCC_BLOCK))
-        on_j = rays == j
-        cum = cum_j + np.cumsum(np.where(on_j, lengths, 0.0))
-        crossed = cum >= thresh
-        if crossed.any():
-            pos = int(np.argmax(crossed))
-            for r in range(n):
-                counts[r] += lengths[:pos][rays[:pos] == r].sum()
-            counts[j] = thresh
-            tau = counts.sum()
-            if tau > cap:
-                raise CapBreachedError(cap)
-            return SimplexVector(tuple(counts / tau)), int(tau)
-        for r in range(n):
-            counts[r] += lengths[rays == r].sum()
-        cum_j = cum[-1]
-        if counts.sum() > cap:
-            raise CapBreachedError(cap)
+    _check_stoppable(config, rule)
+    cols = _resolve(config, rule, [rng.generator])
+    if cols["discarded"][0]:
+        raise CapBreachedError(rule.cap_steps(config))
+    tau = int(cols["stopped_step"][0])
+    return SimplexVector(tuple(cols["counts"][0] / tau)), tau
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +550,11 @@ def write_run_manifest(path, batch: WalkBatch | StopBatch, wall_time_s: float | 
 
 
 def run_walk_batch(config: SpiderConfig, rule: StoppingRule | None, csv_path,
-                   manifest_path, run_id: int = 0, threads: int = 1,
-                   record_wall_time: bool = True):
+                   manifest_path, run_id: int = 0, record_wall_time: bool = True):
     """Simulate, then emit the per-path CSV and the JSON run manifest."""
     t0 = time.monotonic()
     if rule is None:
-        batch = simulate_batch(config, run_id=run_id, threads=threads)
+        batch = simulate_batch(config, run_id=run_id)
     else:
         batch = stop_batch(config, rule, run_id=run_id)
     write_batch_csv(csv_path, batch)

@@ -52,6 +52,14 @@ def test_sample_spider_walk(tmp_path):
     assert np.abs(fracs.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def test_sample_spider_walk_rejects_too_many_rays(tmp_path, capsys):
+    code = main(["sample", "--law", "spider-walk", "--n", "40000", "--steps", "1000",
+                 "--count", "5", "--seed", "4", "--out", str(tmp_path / "walk")])
+    assert code == 2
+    assert "ray count" in capsys.readouterr().err
+    assert not (tmp_path / "walk.csv").exists()
+
+
 def test_sample_usage_errors(tmp_path):
     out = str(tmp_path / "x")
     assert main(["sample", "--law", "occupation", "--n", "3", "--count", "0",

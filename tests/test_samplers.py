@@ -13,6 +13,7 @@ from spiderlaw import (
     arcsine_cdf,
     ks_one_sample,
     ks_two_sample,
+    ratio_A_cdf,
     sample_arcsine,
     sample_c_mu,
     sample_cauchy_spider_marginal,
@@ -141,12 +142,38 @@ def test_c_mu_positive_probability():
 def test_ratio_A_mean_and_support():
     a = sample_ratio_A(StableParams(0.3), RngStream(61, 0), 1_000_000)
     assert _mc_band(a, 0.5)
-    assert ((a > 0) & (a < 1)).all()
+    # draws within half an ulp of 1 round to 1.0, a correct float result
+    assert ((a >= 0) & (a <= 1)).all()
 
 
 def test_ratio_A_is_arcsine_at_half():
     a = sample_ratio_A(StableParams(0.5), RngStream(61, 1), 100_000)
     assert ks_one_sample(a, arcsine_cdf, seed=61).passed
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.1])
+def test_ratio_A_symmetric_at_small_mu(mu):
+    # the law is symmetric about 1/2, in the bulk and in both tails
+    meta = BatchMeta()
+    a = sample_ratio_A(StableParams(mu), RngStream(3, 0), 1_000_000, meta=meta)
+    assert _mc_band((a > 0.5).astype(float), 0.5)
+    tail = 2.0 ** -20
+    assert _mc_band((a >= 1.0 - tail).astype(float) - (a <= tail), 0.0)
+    assert meta.redraws == 0
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.1])
+def test_ratio_A_matches_closed_form_at_small_mu(mu):
+    # up to z0 every float cell carries negligible mass, so KS applies to the
+    # draws below z0; above it many draws round to 1.0, so only the mass of
+    # that top interval is checked
+    a = sample_ratio_A(StableParams(mu), RngStream(67, 1), 200_000)
+    z0 = 1.0 - 2.0 ** -20
+    f0 = ratio_A_cdf(z0, mu)
+    body = a[a <= z0]
+    report = ks_one_sample(body, lambda z: ratio_A_cdf(z, mu) / f0, seed=67)
+    assert report.passed, report.p_value
+    assert _mc_band((a > z0).astype(float), 1.0 - f0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from spiderlaw import (
     stop_batch,
     verify_occupation_identity,
 )
-from spiderlaw.walk import run_walk_batch, write_batch_csv, write_run_manifest
+from spiderlaw.walk import (
+    _first_return_lengths,
+    run_walk_batch,
+    write_batch_csv,
+    write_run_manifest,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -44,25 +50,25 @@ def test_config_validation():
 
 def test_summary_invariants():
     with pytest.raises(ParameterDomainError):
-        SpiderPathSummary(2, 10, (3, 6), 1, 4, 0, 1)  # counts don't sum
+        SpiderPathSummary(2, 10, (3, 6), 1, 4, 0)  # counts don't sum
     with pytest.raises(ParameterDomainError):
-        SpiderPathSummary(2, 10, (3, 7), 0, 4, 0, 1)  # no origin visit
+        SpiderPathSummary(2, 10, (3, 7), 0, 4, 0)  # no origin visit
     with pytest.raises(ParameterDomainError):
-        SpiderPathSummary(2, 10, (3, 7), 1, 12, 0, 1)  # last zero too late
+        SpiderPathSummary(2, 10, (3, 7), 1, 12, 0)  # last zero too late
 
 
 def test_occupation_fraction_arithmetic():
-    summary = SpiderPathSummary(2, 10, (3, 7), 2, 6, 1, 2)
+    summary = SpiderPathSummary(2, 10, (3, 7), 2, 6, 1)
     assert occupation_fraction(summary).fractions == (0.3, 0.7)
     with pytest.raises(UsageError):
-        occupation_fraction(SpiderPathSummary(1, 10, (10,), 2, 6, 0, 2))
+        occupation_fraction(SpiderPathSummary(1, 10, (10,), 2, 6, 0))
 
 
 def test_last_zero_and_proxy_arithmetic():
-    summary = SpiderPathSummary(2, 10_000, (4000, 6000), 100, 0, 1, 44)
+    summary = SpiderPathSummary(2, 10_000, (4000, 6000), 100, 0, 1)
     assert last_zero_fraction(summary) == 0.0  # never returned after the start
     assert local_time_proxy(summary) == pytest.approx(1.0)
-    late = SpiderPathSummary(2, 10_000, (4000, 6000), 180, 9_200, 1, 44)
+    late = SpiderPathSummary(2, 10_000, (4000, 6000), 180, 9_200, 1)
     assert 0.0 <= last_zero_fraction(late) <= 1.0
     assert local_time_proxy(late) > local_time_proxy(summary)
 
@@ -87,14 +93,15 @@ def test_stopping_rule_validation():
 # determinism and engine identities
 # ---------------------------------------------------------------------------
 
-def test_batch_reproducible_and_thread_independent():
+def test_batch_reproducible_and_size_independent():
     config = SpiderConfig(n=3, steps=1500, paths=300, seed=17, allow_small_steps=True)
-    a = simulate_batch(config)
-    b = simulate_batch(config)
-    c = simulate_batch(config, threads=4)
+    a = simulate_batch(config, run_id=2)
+    b = simulate_batch(config, run_id=2)
+    c = simulate_batch(replace(config, paths=40), run_id=2)
     assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.counts, c.counts)
-    assert np.array_equal(a.last_zero_step, c.last_zero_step)
+    assert np.array_equal(a.counts[:40], c.counts)
+    assert np.array_equal(a.zero_visits[:40], c.zero_visits)
+    assert np.array_equal(a.last_zero_step[:40], c.last_zero_step)
 
 
 def test_single_path_equals_batch_row():
@@ -105,7 +112,7 @@ def test_single_path_equals_batch_row():
         assert summary.occupation_counts == tuple(batch.counts[p])
         assert summary.zero_visits == batch.zero_visits[p]
         assert summary.last_zero_step == batch.last_zero_step[p]
-        assert summary.final_distance == batch.final_distance[p]
+        assert summary.final_ray == batch.final_ray[p]
 
 
 def test_conservation_every_path():
@@ -126,15 +133,27 @@ def test_fixed_time_stop_equals_plain_batch():
     assert stopped.discard_count == 0
 
 
-def test_reflecting_sanity_single_ray():
-    # with one ray the radial part is the folded simple walk
-    config = SpiderConfig(n=1, steps=2000, paths=4000, seed=29, allow_small_steps=True)
+def test_exact_landing_on_the_horizon():
+    # the first excursion has length 2 with probability 1/2; when it ends
+    # exactly at the horizon it is complete and the path ends at the origin
+    config = SpiderConfig(n=3, steps=2, paths=4000, seed=73, allow_small_steps=True)
     batch = simulate_batch(config)
-    rng = np.random.default_rng(7)
-    signs = rng.integers(0, 2, size=(4000, 2000)) * 2 - 1
-    folded = np.abs(signs.cumsum(axis=1))[:, -1]
-    report = ks_two_sample(batch.final_distance, folded, seed=29)
-    assert report.passed, report.statistic
+    landed = batch.zero_visits == 2
+    assert (batch.last_zero_step[landed] == 2).all()
+    assert (batch.last_zero_step[~landed] == 0).all()
+    assert (batch.zero_visits[~landed] == 1).all()
+    assert abs(landed.mean() - 0.5) <= 4.0 * math.sqrt(0.25 / 4000)
+    assert (batch.counts.sum(axis=1) == 2).all()
+    # a path of one step cannot return
+    one = simulate_batch(replace(config, steps=1))
+    assert (one.zero_visits == 1).all() and (one.last_zero_step == 0).all()
+    assert (one.counts.sum(axis=1) == 1).all()
+
+
+def test_first_return_lengths_on_unit_interval_edges():
+    lengths = _first_return_lengths(np.array([1.0, 0.5, 2.0 ** -53]))
+    assert lengths[0] == 2.0 and lengths[1] == 4.0  # length 2 iff u > P(T > 2) = 1/2
+    assert np.isfinite(lengths[2]) and lengths[2] > 2.0 ** 21
 
 
 def test_ray_relabelling_leaves_marginals_unchanged():
@@ -247,11 +266,14 @@ class _BufferedWalk:
         return v
 
     def stop(self, n, steps, rule, level, ray_j, cap):
+        """(first-ray fraction, last-zero fraction, zero visits), or None at the cap."""
         counts = [0] * n
         d = 0
         ray = -1
         zero_visits = 1
+        last_zero = 0
         t = 0
+        horizon = max(1, round(level * steps))
         occ_threshold = math.floor(level * steps) + 1
         lt_threshold = math.floor(level * math.sqrt(steps))
         while True:
@@ -266,13 +288,16 @@ class _BufferedWalk:
             counts[ray] += 1
             if d == 0:
                 zero_visits += 1
-                if rule == "lt" and zero_visits > lt_threshold:
-                    return counts[0] / t
-            if rule == "occ" and ray == ray_j and counts[ray_j] >= occ_threshold:
-                return counts[0] / t
+                last_zero = t
+            if (
+                (rule == "fixed" and t == horizon)
+                or (rule == "lt" and zero_visits > lt_threshold)
+                or (rule == "occ" and ray == ray_j and counts[ray_j] >= occ_threshold)
+            ):
+                return counts[0] / t, last_zero / t, zero_visits
 
 
-@pytest.mark.parametrize("rule_kind", ["lt", "occ"])
+@pytest.mark.parametrize("rule_kind", ["lt", "occ", "fixed"])
 def test_excursion_engine_matches_stepwise_reference(rule_kind):
     # same cap on both sides, so truncation affects both marginals identically
     n, steps, paths, cap_mult = 3, 1000, 2500, 50.0
@@ -280,10 +305,16 @@ def test_excursion_engine_matches_stepwise_reference(rule_kind):
                           allow_small_steps=True)
     if rule_kind == "lt":
         rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=cap_mult)
-    else:
+    elif rule_kind == "occ":
         rule = StoppingRule.inverse_occupation(0.5, ray=2, cap_multiplier=cap_mult)
+    else:
+        rule = StoppingRule.fixed_time(1.0, cap_multiplier=cap_mult)
     batch = stop_batch(config, rule, run_id=1)
-    ours = batch.fractions[:, 0]
+    kept = batch.kept
+    ours = {"fraction": batch.fractions[:, 0]}
+    if rule_kind == "fixed":
+        ours["last_zero"] = batch.last_zero_step[kept] / batch.stopped_step[kept]
+        ours["zero_visits"] = batch.zero_visits[kept]
 
     reference = _BufferedWalk(seed=54)
     cap = rule.cap_steps(config)
@@ -293,9 +324,11 @@ def test_excursion_engine_matches_stepwise_reference(rule_kind):
                                1 if rule_kind == "occ" else None, cap)
         if value is not None:
             ref.append(value)
-    report = ks_two_sample(ours, np.asarray(ref), seed=53,
-                           name=f"excursion~stepwise[{rule_kind}]")
-    assert report.passed, (report.statistic, report.p_value)
+    ref = dict(zip(("fraction", "last_zero", "zero_visits"), np.asarray(ref).T))
+    for key, values in ours.items():
+        report = ks_two_sample(values, ref[key], seed=53,
+                               name=f"excursion~stepwise[{rule_kind},{key}]")
+        assert report.passed, (report.test_name, report.statistic, report.p_value)
 
 
 def test_local_time_proxy_scales_like_a_constant():
