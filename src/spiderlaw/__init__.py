@@ -9,7 +9,6 @@ together.
 __version__ = "0.1.0"
 
 from .errors import (
-    CapBreachedError,
     NonFiniteSamplesError,
     ParameterDomainError,
     UsageError,
@@ -22,7 +21,6 @@ from .gof import (
     ks_one_sample,
     ks_two_sample,
     mc_transform_check,
-    stream_correlation,
     summary_table,
     verify_occupation_identity,
     write_reports_jsonl,
@@ -52,31 +50,19 @@ from .samplers import (
     SimplexVector,
     StableParams,
     sample_arcsine,
-    sample_c_mu,
-    sample_cauchy,
     sample_cauchy_spider_marginal,
-    sample_exponential,
-    sample_normal,
     sample_occupation_exact,
     sample_positive_stable,
     sample_ratio_A,
     sample_ratio_X,
     sample_stable_half,
-    sample_uniform,
     save_sample_batch,
 )
 from .walk import (
     SpiderConfig,
-    SpiderPathSummary,
     StopBatch,
     StoppingRule,
-    WalkBatch,
-    last_zero_fraction,
-    local_time_proxy,
-    occupation_fraction,
     run_walk_batch,
     simulate_batch,
-    simulate_path,
-    stop_at,
     stop_batch,
 )

@@ -133,13 +133,16 @@ def _require_n(args) -> int:
 
 def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
-    count = args.paths if (args.law == "spider-walk" and args.paths) else args.count
+    count = args.count
+    if args.law == "spider-walk" and args.paths is not None:
+        count = args.paths
     if count is None:
         raise UsageError("--count is required (or --paths for spider-walk)")
     if count < 1:
         raise UsageError(f"sample count must be positive: {count}")
     out = Path(args.out)
     csv_path = out if out.suffix == ".csv" else out.with_suffix(".csv")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     manifest_path = csv_path.with_suffix(".manifest.json")
     manifest = RunManifest.begin(
         "sample",
@@ -259,6 +262,8 @@ def cmd_figure_spider(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     reports, extras = run_suite(args.suite, seed)
     if args.out:
         write_reports_jsonl(reports, args.out)

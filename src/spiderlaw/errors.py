@@ -9,14 +9,6 @@ class UsageError(ValueError):
     """The caller violated an API precondition (bad sizes, unknown names)."""
 
 
-class CapBreachedError(RuntimeError):
-    """A stopped walk exceeded its step cap; the path must be discarded."""
-
-    def __init__(self, cap_steps):
-        super().__init__(f"stopping rule did not fire within {cap_steps} steps")
-        self.cap_steps = cap_steps
-
-
 class NonFiniteSamplesError(RuntimeError):
     """A Monte-Carlo functional produced non-finite values."""
 

@@ -271,22 +271,6 @@ def cauchy_square_convergence(n_values, grid_size=1000):
 
 
 # ---------------------------------------------------------------------------
-# stream independence
-# ---------------------------------------------------------------------------
-
-def stream_correlation(seed, stream_a, stream_b, n_samples=100_000) -> GofReport:
-    """Pearson correlation between two streams' uniforms, banded at 4 / sqrt(n)."""
-    a = RngStream(seed, stream_a).uniform(n_samples)
-    b = RngStream(seed, stream_b).uniform(n_samples)
-    corr = float(np.corrcoef(a, b)[0, 1])
-    return GofReport(
-        f"stream_correlation[{stream_a}~{stream_b}]",
-        abs(corr), None, n_samples, n_samples, seed,
-        4.0 / math.sqrt(n_samples), "stat_max",
-    )
-
-
-# ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------
 

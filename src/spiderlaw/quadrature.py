@@ -87,15 +87,9 @@ def adaptive_quadrature(f, a, b, local_tol=1e-10, max_panels=16384):
     return math.fsum(item[3] for item in heap)
 
 
-def integrate_unit_interval(f, a, b, local_tol=1e-10, max_panels=16384):
-    """Integrate ``f`` over [a, b] inside [0, 1] via the z = sin(theta)^2 map."""
-    return integrate_unit_interval_pair(lambda z, w: f(z), a, b,
-                                        local_tol=local_tol, max_panels=max_panels)
-
-
 def integrate_unit_interval_pair(f, a, b, local_tol=1e-10, max_panels=16384):
-    """Like :func:`integrate_unit_interval` for integrands written as
-    ``f(z, 1 - z)``.
+    """Integrate ``f(z, 1 - z)`` over [a, b] inside [0, 1] via the
+    z = sin(theta)^2 map.
 
     Both halves of [0, 1] are mapped separately so that each endpoint
     singularity lands at theta = 0, where floating-point spacing is

@@ -63,10 +63,6 @@ class RngStream:
             self._generator = np.random.Generator(np.random.PCG64(ss))
         return self._generator
 
-    def substream(self, stream_id: int) -> "RngStream":
-        """A fresh stream with the same seed and a different stream id."""
-        return RngStream(self.seed, stream_id)
-
     # thin draw helpers; all consume the stream in a fixed documented order
     def uniform(self, size=None, low=0.0, high=1.0):
         return self.generator.uniform(low, high, size)
@@ -79,6 +75,3 @@ class RngStream:
 
     def cauchy(self, size=None):
         return self.generator.standard_cauchy(size)
-
-    def integers(self, upper: int, size=None):
-        return self.generator.integers(0, upper, size=size)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class BatchMeta:
     """Bookkeeping for a sampling batch; counts degenerate redraws."""
 
     redraws: int = 0
-    notes: dict = field(default_factory=dict)
 
 
 def _bump(meta: BatchMeta | None, count: int):
@@ -98,26 +97,6 @@ def _clean(draw, ok, size, meta: BatchMeta | None, max_rounds=64):
 
 def _finite_positive(values):
     return np.isfinite(values) & (values > 0.0)
-
-
-# ---------------------------------------------------------------------------
-# elementary draws
-# ---------------------------------------------------------------------------
-
-def sample_uniform(rng: RngStream, size=None, low=0.0, high=1.0):
-    return rng.uniform(size, low, high)
-
-
-def sample_normal(rng: RngStream, size=None):
-    return rng.normal(size)
-
-
-def sample_exponential(rng: RngStream, size=None):
-    return rng.exponential(size)
-
-
-def sample_cauchy(rng: RngStream, size=None, meta: BatchMeta | None = None):
-    return _clean(lambda k: rng.cauchy(k), np.isfinite, size, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +143,6 @@ def sample_ratio_X(params: StableParams, rng: RngStream, size=None,
         return num / den
 
     return _clean(draw, _finite_positive, size, meta)
-
-
-def sample_c_mu(params: StableParams, rng: RngStream, size=None,
-                meta: BatchMeta | None = None):
-    """Shifted Cauchy sin(pi mu) C - cos(pi mu); positive part matches X**mu."""
-    mu = params.mu
-
-    def draw(k):
-        return np.sin(np.pi * mu) * rng.cauchy(k) - np.cos(np.pi * mu)
-
-    return _clean(draw, np.isfinite, size, meta)
 
 
 def _expit(x):

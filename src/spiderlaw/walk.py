@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapBreachedError, ParameterDomainError, UsageError
+from .errors import ParameterDomainError, UsageError
 from .rng import RngStream, composite_stream_id
-from .samplers import SimplexVector
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
@@ -51,6 +50,7 @@ DEFAULT_CAP_MULTIPLIER = 1.0e5
 
 _MAX_RAYS = 32767  # rays are floor(n v); checked to stay below n for all v < 1
 _ROUND_ELEMENTS = 1 << 18  # excursions drawn per round across a group of paths
+_EXACT_STEPS = 1 << 53  # step totals are float64, exact only up to here
 
 
 # ---------------------------------------------------------------------------
@@ -78,32 +78,14 @@ class SpiderConfig:
                 f"ray count must be an integer in [1, {_MAX_RAYS}]: {self.n}")
         if int(self.steps) != self.steps or self.steps < 1:
             raise ParameterDomainError(f"steps must be a positive integer: {self.steps}")
+        if self.steps >= _EXACT_STEPS:
+            raise ParameterDomainError(f"steps must be below 2**53: {self.steps}")
         if self.steps < 1000 and not self.allow_small_steps:
             raise ParameterDomainError(
                 f"steps = {self.steps} < 1000; set allow_small_steps for tiny walks"
             )
         if int(self.paths) != self.paths or self.paths < 1:
             raise ParameterDomainError(f"paths must be a positive integer: {self.paths}")
-
-
-@dataclass(frozen=True)
-class SpiderPathSummary:
-    """Bookkeeping of one finished path."""
-
-    n: int
-    steps: int
-    occupation_counts: tuple[int, ...]
-    zero_visits: int
-    last_zero_step: int
-    final_ray: int
-
-    def __post_init__(self):
-        if sum(self.occupation_counts) != self.steps:
-            raise ParameterDomainError("occupation counts must sum to steps")
-        if self.zero_visits < 1:
-            raise ParameterDomainError("a path visits the origin at least once")
-        if not 0 <= self.last_zero_step <= self.steps:
-            raise ParameterDomainError("last zero outside [0, steps]")
 
 
 _RULE_KINDS = ("fixed_time", "inverse_occupation", "inverse_local_time")
@@ -166,6 +148,11 @@ class StoppingRule:
             raise ParameterDomainError(
                 "local-time level below one origin visit at this lattice scale"
             )
+        if self.kind != "fixed_time" and self.cap_steps(config) > _EXACT_STEPS:
+            raise ParameterDomainError(
+                f"step cap {self.cap_steps(config)} exceeds 2**53, where step "
+                "totals are no longer exact; lower cap_multiplier"
+            )
 
     def nominal_steps(self, config: SpiderConfig) -> int:
         if self.kind == "fixed_time":
@@ -191,41 +178,14 @@ _PLAIN_WALK = StoppingRule.fixed_time(1.0)
 
 
 @dataclass
-class WalkBatch:
-    """Column arrays for a batch of plain fixed-length paths."""
-
-    config: SpiderConfig
-    run_id: int
-    counts: np.ndarray
-    zero_visits: np.ndarray
-    last_zero_step: np.ndarray
-    final_ray: np.ndarray
-
-    @property
-    def fractions(self) -> np.ndarray:
-        return self.counts / self.config.steps
-
-    @property
-    def last_zero_fraction(self) -> np.ndarray:
-        return self.last_zero_step / self.config.steps
-
-    def summary(self, i: int) -> SpiderPathSummary:
-        return SpiderPathSummary(
-            n=self.config.n,
-            steps=self.config.steps,
-            occupation_counts=tuple(int(c) for c in self.counts[i]),
-            zero_visits=int(self.zero_visits[i]),
-            last_zero_step=int(self.last_zero_step[i]),
-            final_ray=int(self.final_ray[i]),
-        )
-
-
-@dataclass
 class StopBatch:
-    """Column arrays for a batch of stopped paths; discarded rows are flagged."""
+    """Column arrays for a batch of stopped paths; discarded rows are flagged.
+
+    ``rule`` is None for a plain walk of ``config.steps`` steps.
+    """
 
     config: SpiderConfig
-    rule: StoppingRule
+    rule: StoppingRule | None
     run_id: int
     counts: np.ndarray
     stopped_step: np.ndarray
@@ -250,6 +210,12 @@ class StopBatch:
     @property
     def kept_stopped_steps(self) -> np.ndarray:
         return self.stopped_step[self.kept]
+
+    @property
+    def last_zero_fraction(self) -> np.ndarray:
+        """Last origin visit over the stopping time, for the kept paths."""
+        keep = self.kept
+        return self.last_zero_step[keep] / self.stopped_step[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +298,6 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
     complete = np.zeros(m, dtype=np.int64)  # excursions finished so far
     zero_visits = np.zeros(m, dtype=np.int64)
     last_zero = np.zeros(m)
-    final_ray = np.zeros(m, dtype=np.int64)
     discarded = np.zeros(m, dtype=bool)
     alive = np.arange(m)
     slot = np.arange(block)
@@ -376,7 +341,6 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
         tau = counts[idx].sum(axis=1)
         zero_visits[idx] = 1 + complete[idx] + ph + exact
         last_zero[idx] = np.where(exact, tau, tau - part)
-        final_ray[idx] = ray_h
         discarded[idx] = tau > cap
 
         o = rows[~hit]
@@ -394,7 +358,6 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
         "stopped_step": np.where(keep, counts.sum(axis=1), 0.0).astype(np.int64),
         "zero_visits": np.where(keep, zero_visits, 0),
         "last_zero_step": np.where(keep, last_zero, 0.0).astype(np.int64),
-        "final_ray": final_ray,
         "discarded": discarded,
     }
 
@@ -416,40 +379,14 @@ def _check_stoppable(config: SpiderConfig, rule: StoppingRule):
         raise UsageError("stopping rules need at least 2 rays")
 
 
-def _walk_batch(config: SpiderConfig, run_id: int, cols: dict) -> WalkBatch:
-    return WalkBatch(config=config, run_id=run_id,
-                     counts=cols["counts"].astype(np.int64),
-                     zero_visits=cols["zero_visits"],
-                     last_zero_step=cols["last_zero_step"],
-                     final_ray=cols["final_ray"])
+def simulate_batch(config: SpiderConfig, run_id: int = 0) -> StopBatch:
+    """Simulate ``config.paths`` independent paths of ``config.steps`` steps.
 
-
-def simulate_batch(config: SpiderConfig, run_id: int = 0) -> WalkBatch:
-    """Simulate ``config.paths`` independent paths of ``config.steps`` steps."""
-    return _walk_batch(config, run_id, _resolve_batch(config, _PLAIN_WALK, run_id))
-
-
-def simulate_path(config: SpiderConfig, rng: RngStream) -> SpiderPathSummary:
-    """Run one path on the caller's stream and summarise it."""
-    cols = _resolve(config, _PLAIN_WALK, [rng.generator])
-    return _walk_batch(config, 0, cols).summary(0)
-
-
-def occupation_fraction(summary: SpiderPathSummary) -> SimplexVector:
-    """Occupation counts normalised by the path length."""
-    if summary.n < 2:
-        raise UsageError("occupation fractions need at least 2 rays")
-    return SimplexVector(tuple(c / summary.steps for c in summary.occupation_counts))
-
-
-def last_zero_fraction(summary: SpiderPathSummary) -> float:
-    """Last visit to the origin as a fraction of the path length."""
-    return summary.last_zero_step / summary.steps
-
-
-def local_time_proxy(summary: SpiderPathSummary) -> float:
-    """Origin-visit count scaled by sqrt(steps); lattice local-time proxy."""
-    return summary.zero_visits / math.sqrt(summary.steps)
+    A plain walk is the fixed-time rule at level 1; the batch carries
+    ``rule=None`` and never discards a path.
+    """
+    return StopBatch(config=config, rule=None, run_id=run_id,
+                     **_resolve_batch(config, _PLAIN_WALK, run_id))
 
 
 # ---------------------------------------------------------------------------
@@ -459,32 +396,15 @@ def local_time_proxy(summary: SpiderPathSummary) -> float:
 def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = 0) -> StopBatch:
     """Stop every path of the batch by ``rule``; discards are flagged, not dropped."""
     _check_stoppable(config, rule)
-    cols = _resolve_batch(config, rule, run_id)
-    del cols["final_ray"]
-    return StopBatch(config=config, rule=rule, run_id=run_id, **cols)
-
-
-def stop_at(config: SpiderConfig, rule: StoppingRule, rng: RngStream):
-    """Stop a single path on the caller's stream; returns (SimplexVector, step).
-
-    Path p of a batch equals ``stop_at`` on the stream
-    ``(seed, composite_stream_id(run_id, p))``.  Raises
-    :class:`CapBreachedError` when the rule does not fire within the cap,
-    which callers must treat as a discarded path.
-    """
-    _check_stoppable(config, rule)
-    cols = _resolve(config, rule, [rng.generator])
-    if cols["discarded"][0]:
-        raise CapBreachedError(rule.cap_steps(config))
-    tau = int(cols["stopped_step"][0])
-    return SimplexVector(tuple(cols["counts"][0] / tau)), tau
+    return StopBatch(config=config, rule=rule, run_id=run_id,
+                     **_resolve_batch(config, rule, run_id))
 
 
 # ---------------------------------------------------------------------------
 # batch output
 # ---------------------------------------------------------------------------
 
-def write_batch_csv(csv_path, batch: WalkBatch | StopBatch):
+def write_batch_csv(csv_path, batch: StopBatch):
     """Per-path summary rows; discarded paths keep their flag and empty stats."""
     config = batch.config
     n = config.n
@@ -493,21 +413,14 @@ def write_batch_csv(csv_path, batch: WalkBatch | StopBatch):
         + [f"frac_ray{j + 1}" for j in range(n)]
         + ["zero_visits", "last_zero_fraction", "stopped_step", "discarded"]
     )
-    if isinstance(batch, WalkBatch):
-        fracs = batch.fractions
-        stopped = np.full(config.paths, config.steps, dtype=np.int64)
-        zv = batch.zero_visits
-        lz = batch.last_zero_fraction
-        disc = np.zeros(config.paths, dtype=bool)
-    else:
-        keep = batch.kept
-        stopped = batch.stopped_step
-        zv = batch.zero_visits
-        disc = batch.discarded
-        fracs = np.zeros((config.paths, n))
-        fracs[keep] = batch.counts[keep] / stopped[keep, None]
-        lz = np.zeros(config.paths)
-        lz[keep] = batch.last_zero_step[keep] / stopped[keep]
+    keep = batch.kept
+    stopped = batch.stopped_step
+    zv = batch.zero_visits
+    disc = batch.discarded
+    fracs = np.zeros((config.paths, n))
+    fracs[keep] = batch.fractions
+    lz = np.zeros(config.paths)
+    lz[keep] = batch.last_zero_fraction
     with open(str(csv_path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -523,27 +436,24 @@ def write_batch_csv(csv_path, batch: WalkBatch | StopBatch):
             writer.writerow(row)
 
 
-def write_run_manifest(path, batch: WalkBatch | StopBatch, wall_time_s: float | None):
+def write_run_manifest(path, batch: StopBatch, wall_time_s: float | None):
     """JSON manifest of one run; pass ``wall_time_s=None`` for byte-stable output."""
-    config = batch.config
+    config, rule = batch.config, batch.rule
     manifest = {
         "n": config.n,
         "steps": config.steps,
         "paths": config.paths,
         "seed": config.seed,
         "run_id": batch.run_id,
-        "rule": None,
-        "discard_count": 0,
+        "rule": None if rule is None else {
+            "kind": rule.kind,
+            "level": rule.level,
+            "ray": rule.ray,
+            "cap_multiplier": rule.cap_multiplier,
+        },
+        "discard_count": batch.discard_count,
         "wall_time_s": wall_time_s,
     }
-    if isinstance(batch, StopBatch):
-        manifest["rule"] = {
-            "kind": batch.rule.kind,
-            "level": batch.rule.level,
-            "ray": batch.rule.ray,
-            "cap_multiplier": batch.rule.cap_multiplier,
-        }
-        manifest["discard_count"] = batch.discard_count
     with open(str(path), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

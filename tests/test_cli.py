@@ -60,7 +60,7 @@ def test_sample_spider_walk_rejects_too_many_rays(tmp_path, capsys):
     assert not (tmp_path / "walk.csv").exists()
 
 
-def test_sample_usage_errors(tmp_path):
+def test_sample_usage_errors(tmp_path, monkeypatch):
     out = str(tmp_path / "x")
     assert main(["sample", "--law", "occupation", "--n", "3", "--count", "0",
                  "--out", out]) == 2
@@ -68,6 +68,24 @@ def test_sample_usage_errors(tmp_path):
     assert main(["sample", "--law", "nope", "--count", "10", "--out", out]) == 2
     assert main(["sample", "--law", "occupation", "--n", "1", "--count", "5",
                  "--out", out]) == 2
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran for rejected input")
+
+    monkeypatch.setattr("spiderlaw.cli.run_walk_batch", no_walk)
+    walk = ["sample", "--law", "spider-walk", "--n", "3", "--out", out]
+    assert main(walk + ["--steps", "1000", "--paths", "0", "--count", "7"]) == 2
+    assert main(walk + ["--steps", str(2 ** 53), "--count", "1"]) == 2
+
+
+def test_outputs_into_missing_directory(tmp_path):
+    out = tmp_path / "no" / "such" / "dir"
+    assert main(["sample", "--law", "arcsine", "--count", "20",
+                 "--out", str(out / "x")]) == 0
+    assert (out / "x.csv").is_file()
+    assert main(["verify", "--suite", "convergence",
+                 "--out", str(out / "r.jsonl")]) == 0
+    assert (out / "r.jsonl").is_file()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):
@@ -150,6 +168,14 @@ def test_figure_spider_outputs(tmp_path):
 def test_figure_usage_error(tmp_path):
     assert main(["figure-ratio", "--mu", "1.5", "--out", str(tmp_path / "f")]) == 2
     assert main(["figure-spider", "--n", "1", "--out", str(tmp_path / "g")]) == 2
+
+
+def test_figure_ratio_near_one(tmp_path, capsys):
+    # the density peaks sharply at 1/2 as mu -> 1; a grid too coarse to
+    # resolve the peak is a usage error, not a crash
+    assert main(["figure-ratio", "--mu", "0.98", "--out", str(tmp_path / "a")]) == 0
+    assert main(["figure-ratio", "--mu", "0.999", "--out", str(tmp_path / "b")]) == 2
+    assert "--grid" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from spiderlaw.quadrature import (
     QuadratureError,
     adaptive_quadrature,
     integrate_half_line,
-    integrate_unit_interval,
+    integrate_unit_interval_pair,
 )
 
 
@@ -25,15 +25,16 @@ def test_oscillatory_vs_scipy():
 
 def test_square_root_singularity_via_substitution():
     # 1 / (pi sqrt(z(1-z))) integrates to exactly 1
-    f = lambda z: 1.0 / (math.pi * math.sqrt(z * (1.0 - z)))
-    assert integrate_unit_interval(f, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert integrate_unit_interval(f, 0.0, 0.25) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    f = lambda z, w: 1.0 / (math.pi * math.sqrt(z * (1.0 - z)))
+    assert integrate_unit_interval_pair(f, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    assert integrate_unit_interval_pair(f, 0.0, 0.25) == pytest.approx(
+        1.0 / 3.0, abs=1e-10)
 
 
 def test_strong_power_singularity():
     # z**-0.9 has an integrable singularity harsher than the square root
-    f = lambda z: 0.1 * z ** (-0.9)
-    assert integrate_unit_interval(f, 0.0, 1.0, max_panels=16384) == pytest.approx(
+    f = lambda z, w: 0.1 * z ** (-0.9)
+    assert integrate_unit_interval_pair(f, 0.0, 1.0, max_panels=16384) == pytest.approx(
         1.0, abs=1e-8)
 
 
@@ -48,7 +49,7 @@ def test_domain_errors():
     with pytest.raises(ParameterDomainError):
         adaptive_quadrature(lambda x: x, 1.0, 0.0)
     with pytest.raises(ParameterDomainError):
-        integrate_unit_interval(lambda z: z, -0.1, 0.5)
+        integrate_unit_interval_pair(lambda z, w: z, -0.1, 0.5)
     with pytest.raises(ParameterDomainError):
         integrate_half_line(lambda y: y, -1.0, 2.0)
 

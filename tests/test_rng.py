@@ -1,8 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
 from spiderlaw import ParameterDomainError, RngStream, composite_stream_id
-from spiderlaw.gof import stream_correlation
 
 
 def test_same_key_same_sequence():
@@ -17,14 +18,12 @@ def test_distinct_streams_differ():
     assert not np.array_equal(a, b)
 
 
-def test_substream_matches_direct_construction():
-    base = RngStream(5, 0)
-    assert np.array_equal(base.substream(9).uniform(10), RngStream(5, 9).uniform(10))
-
-
 def test_stream_cross_correlation_small():
-    report = stream_correlation(2024, 0, 1, n_samples=100_000)
-    assert report.passed, report.statistic
+    n = 100_000
+    a = RngStream(2024, 0).uniform(n)
+    b = RngStream(2024, 1).uniform(n)
+    corr = abs(np.corrcoef(a, b)[0, 1])
+    assert corr <= 4.0 / math.sqrt(n), corr
 
 
 def test_composite_stream_id_packs_run_and_path():

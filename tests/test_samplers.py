@@ -15,7 +15,6 @@ from spiderlaw import (
     ks_two_sample,
     ratio_A_cdf,
     sample_arcsine,
-    sample_c_mu,
     sample_cauchy_spider_marginal,
     sample_occupation_exact,
     sample_positive_stable,
@@ -58,7 +57,6 @@ def test_determinism_bitwise():
         lambda r: sample_positive_stable(params, r, 64),
         lambda r: sample_stable_half(r, 64),
         lambda r: sample_ratio_X(params, r, 64),
-        lambda r: sample_c_mu(params, r, 64),
         lambda r: sample_ratio_A(params, r, 64),
         lambda r: sample_cauchy_spider_marginal(4, r, 64),
         lambda r: sample_arcsine(r, 64, method="normal_ratio"),
@@ -118,15 +116,20 @@ def test_ratio_X_mellin_quarter_moment():
     assert _mc_band(x ** 0.25, math.sqrt(2.0))
 
 
+def _c_mu(mu, rng, size):
+    """Shifted Cauchy sin(pi mu) C - cos(pi mu), whose positive part is X**mu."""
+    return np.sin(np.pi * mu) * rng.cauchy(size) - np.cos(np.pi * mu)
+
+
 def test_c_mu_is_cauchy_at_half():
-    c = sample_c_mu(StableParams(0.5), RngStream(51, 0), 100_000)
+    c = _c_mu(0.5, RngStream(51, 0), 100_000)
     ref = RngStream(51, 1).cauchy(100_000)
     assert ks_two_sample(c, ref, seed=51).passed
 
 
 def test_c_mu_conditioned_positive_matches_ratio_power():
     mu = 0.7
-    c = sample_c_mu(StableParams(mu), RngStream(51, 2), 400_000)
+    c = _c_mu(mu, RngStream(51, 2), 400_000)
     positive = c[c > 0][:100_000]
     ref = sample_ratio_X(StableParams(mu), RngStream(51, 3), 100_000) ** mu
     assert ks_two_sample(positive, ref, seed=51).passed
@@ -135,7 +138,7 @@ def test_c_mu_conditioned_positive_matches_ratio_power():
 def test_c_mu_positive_probability():
     # from the Cauchy CDF: P(sin(pi mu) C > cos(pi mu)) = P(C > cot(pi mu)) = mu
     for i, mu in enumerate((0.2, 0.5, 0.8)):
-        c = sample_c_mu(StableParams(mu), RngStream(51, 10 + i), 1_000_000)
+        c = _c_mu(mu, RngStream(51, 10 + i), 1_000_000)
         assert _mc_band((c > 0).astype(float), mu)
 
 

@@ -6,23 +6,14 @@ import numpy as np
 import pytest
 
 from spiderlaw import (
-    CapBreachedError,
     ParameterDomainError,
-    RngStream,
     SpiderConfig,
-    SpiderPathSummary,
     StoppingRule,
     UsageError,
     arcsine_cdf,
-    composite_stream_id,
     ks_one_sample,
     ks_two_sample,
-    last_zero_fraction,
-    local_time_proxy,
-    occupation_fraction,
     simulate_batch,
-    simulate_path,
-    stop_at,
     stop_batch,
     verify_occupation_identity,
 )
@@ -35,7 +26,7 @@ from spiderlaw.walk import (
 
 
 # ---------------------------------------------------------------------------
-# configuration and summary types
+# configuration types
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
@@ -46,31 +37,10 @@ def test_config_validation():
     SpiderConfig(n=2, steps=500, allow_small_steps=True)
     with pytest.raises(ParameterDomainError):
         SpiderConfig(n=2, steps=2000, paths=0)
-
-
-def test_summary_invariants():
+    # step totals are float64, exact only below 2**53
+    SpiderConfig(n=2, steps=2 ** 53 - 1)
     with pytest.raises(ParameterDomainError):
-        SpiderPathSummary(2, 10, (3, 6), 1, 4, 0)  # counts don't sum
-    with pytest.raises(ParameterDomainError):
-        SpiderPathSummary(2, 10, (3, 7), 0, 4, 0)  # no origin visit
-    with pytest.raises(ParameterDomainError):
-        SpiderPathSummary(2, 10, (3, 7), 1, 12, 0)  # last zero too late
-
-
-def test_occupation_fraction_arithmetic():
-    summary = SpiderPathSummary(2, 10, (3, 7), 2, 6, 1)
-    assert occupation_fraction(summary).fractions == (0.3, 0.7)
-    with pytest.raises(UsageError):
-        occupation_fraction(SpiderPathSummary(1, 10, (10,), 2, 6, 0))
-
-
-def test_last_zero_and_proxy_arithmetic():
-    summary = SpiderPathSummary(2, 10_000, (4000, 6000), 100, 0, 1)
-    assert last_zero_fraction(summary) == 0.0  # never returned after the start
-    assert local_time_proxy(summary) == pytest.approx(1.0)
-    late = SpiderPathSummary(2, 10_000, (4000, 6000), 180, 9_200, 1)
-    assert 0.0 <= last_zero_fraction(late) <= 1.0
-    assert local_time_proxy(late) > local_time_proxy(summary)
+        SpiderConfig(n=2, steps=2 ** 53)
 
 
 def test_stopping_rule_validation():
@@ -87,6 +57,13 @@ def test_stopping_rule_validation():
         # level so small the rule would fire before the first origin visit
         StoppingRule.inverse_local_time(1e-4).validate_for(
             SpiderConfig(n=2, steps=2000))
+    # a cap past 2**53 steps would leave the float64 totals inexact
+    huge = SpiderConfig(n=2, steps=10 ** 12)
+    StoppingRule.inverse_local_time(1.0, cap_multiplier=9000.0).validate_for(huge)
+    for rule in (StoppingRule.inverse_local_time(1.0),
+                 StoppingRule.inverse_occupation(0.5, ray=1)):
+        with pytest.raises(ParameterDomainError, match="cap_multiplier"):
+            rule.validate_for(huge)
 
 
 # ---------------------------------------------------------------------------
@@ -94,25 +71,17 @@ def test_stopping_rule_validation():
 # ---------------------------------------------------------------------------
 
 def test_batch_reproducible_and_size_independent():
+    # path p runs on its own stream, so it is row p of a batch of any size
     config = SpiderConfig(n=3, steps=1500, paths=300, seed=17, allow_small_steps=True)
-    a = simulate_batch(config, run_id=2)
-    b = simulate_batch(config, run_id=2)
-    c = simulate_batch(replace(config, paths=40), run_id=2)
-    assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.counts[:40], c.counts)
-    assert np.array_equal(a.zero_visits[:40], c.zero_visits)
-    assert np.array_equal(a.last_zero_step[:40], c.last_zero_step)
-
-
-def test_single_path_equals_batch_row():
-    config = SpiderConfig(n=3, steps=1200, paths=40, seed=23, allow_small_steps=True)
-    batch = simulate_batch(config, run_id=0)
-    for p in (0, 7, 39):
-        summary = simulate_path(config, RngStream(23, composite_stream_id(0, p)))
-        assert summary.occupation_counts == tuple(batch.counts[p])
-        assert summary.zero_visits == batch.zero_visits[p]
-        assert summary.last_zero_step == batch.last_zero_step[p]
-        assert summary.final_ray == batch.final_ray[p]
+    for run in (lambda c: simulate_batch(c, run_id=2),
+                lambda c: stop_batch(c, StoppingRule.inverse_local_time(1.0), run_id=3),
+                lambda c: stop_batch(c, StoppingRule.inverse_occupation(0.5, ray=2),
+                                     run_id=4)):
+        a, b, c = run(config), run(config), run(replace(config, paths=40))
+        for column in ("counts", "stopped_step", "zero_visits", "last_zero_step",
+                       "discarded"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+            assert np.array_equal(getattr(a, column)[:40], getattr(c, column))
 
 
 def test_conservation_every_path():
@@ -214,29 +183,12 @@ def test_stopped_counts_sum_to_stopping_time():
                               batch.stopped_step[kept].astype(float))
 
 
-def test_stop_at_matches_batch_rows():
-    config = SpiderConfig(n=3, steps=1500, paths=30, seed=43, allow_small_steps=True)
-    for rule, run_id in ((StoppingRule.inverse_local_time(1.0), 3),
-                         (StoppingRule.inverse_occupation(0.5, ray=2), 4),
-                         (StoppingRule.fixed_time(0.5), 5)):
-        batch = stop_batch(config, rule, run_id=run_id)
-        for p in (0, 13):
-            if batch.discarded[p]:
-                continue
-            vec, step = stop_at(config, rule, RngStream(43, composite_stream_id(run_id, p)))
-            assert step == batch.stopped_step[p]
-            assert np.allclose(vec.as_array() * step, batch.counts[p], atol=1e-9)
-
-
 def test_tiny_cap_discards_and_raises():
     config = SpiderConfig(n=2, steps=1000, paths=300, seed=47, allow_small_steps=True)
     rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=1.0)
     batch = stop_batch(config, rule, run_id=6)
     assert batch.discard_count > 0
     assert batch.discarded.shape == (300,)
-    discarded_path = int(np.flatnonzero(batch.discarded)[0])
-    with pytest.raises(CapBreachedError):
-        stop_at(config, rule, RngStream(47, composite_stream_id(6, discarded_path)))
     # the discard-budget guard trips whenever the observed fraction exceeds it
     with pytest.raises(UsageError):
         verify_occupation_identity(2, paths=300, steps=1000, seed=47,
