@@ -7,18 +7,17 @@ figure-ratio   density curves of the two-stable ratio law over a list of mu
 figure-spider  occupation-marginal density curves over a list of ray counts
 verify         run a pre-registered verification suite, emit JSON-line reports
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The seed comes
-from --seed, else the SPIDER_SEED environment variable, else 0.  With
---deterministic all outputs (including manifests) are byte-identical across
-reruns.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad arguments
+or an unusable --out).  The seed comes from --seed, else the SPIDER_SEED
+environment variable, else 0.  With --deterministic all outputs (including
+manifests) are byte-identical across reruns.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .errors import ParameterDomainError, UsageError
 from .figures import render_curves_svg, write_curve_csv
 from .gof import summary_table, write_reports_jsonl
 from .laws import LawKind, LawSpec, build_density_curve
+from .output import prepare_out, write_json
 from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
@@ -69,18 +69,7 @@ class RunManifest:
             if not p.is_file() or p.stat().st_size == 0:
                 raise RuntimeError(f"declared output missing or empty: {out}")
         self.finished = None if deterministic else datetime.now(timezone.utc).isoformat()
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs,
-            "tool_version": self.tool_version,
-        }
-        with open(str(path), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 def _resolve_seed(value) -> int:
@@ -141,8 +130,7 @@ def cmd_sample(args) -> int:
     if count < 1:
         raise UsageError(f"sample count must be positive: {count}")
     out = Path(args.out)
-    csv_path = out if out.suffix == ".csv" else out.with_suffix(".csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    csv_path = prepare_out(out if out.suffix == ".csv" else out.with_suffix(".csv"))
     manifest_path = csv_path.with_suffix(".manifest.json")
     manifest = RunManifest.begin(
         "sample",
@@ -195,8 +183,7 @@ def cmd_sample(args) -> int:
     else:
         raise UsageError(f"unknown law {args.law!r}")
 
-    sidecar = save_sample_batch(csv_path, values, law_name, parameters, seed,
-                                stream_count=1, meta=meta)
+    sidecar = save_sample_batch(csv_path, values, law_name, parameters, seed, meta=meta)
     manifest.outputs += [str(csv_path), sidecar]
     manifest.finish(manifest_path, args.deterministic)
     return 0
@@ -206,54 +193,44 @@ def cmd_sample(args) -> int:
 # figures
 # ---------------------------------------------------------------------------
 
-def _emit_figure(prefix, laws, labels, grid, title, deterministic):
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+def _emit_figure(args, parameters, laws, labels, title) -> int:
+    """One CSV + sidecar per law, the SVG overlay, then the run manifest."""
+    prefix = prepare_out(args.out)
+    manifest = RunManifest.begin(args.command, {**parameters, "grid": args.grid},
+                                 _resolve_seed(args.seed), args.deterministic)
     curves = []
-    outputs = []
     for law in laws:
-        curve = build_density_curve(law, interior_points=grid).validate()
+        curve = build_density_curve(law, interior_points=args.grid).validate()
         csv_path = prefix.parent / f"{prefix.name}_{law.label()}.csv"
         sidecar = write_curve_csv(curve, csv_path)
         curves.append(curve)
-        outputs += [str(csv_path), sidecar]
+        manifest.outputs += [str(csv_path), sidecar]
     svg_path = prefix.parent / f"{prefix.name}.svg"
     render_curves_svg(curves, labels, svg_path, title=title,
-                      deterministic=deterministic)
-    outputs.append(str(svg_path))
-    return outputs
+                      deterministic=args.deterministic)
+    manifest.outputs.append(str(svg_path))
+    manifest.finish(prefix.with_suffix(".manifest.json"), args.deterministic)
+    return 0
 
 
 def cmd_figure_ratio(args) -> int:
     mus = _parse_floats(args.mu)
     if not mus:
         raise UsageError("need at least one mu")
-    seed = _resolve_seed(args.seed)
-    manifest = RunManifest.begin(
-        "figure-ratio", {"mu": mus, "grid": args.grid}, seed, args.deterministic)
-    laws = [LawSpec(LawKind.STABLE_RATIO_A, mu=mu) for mu in mus]
-    labels = [f"mu = {mu:g}" for mu in mus]
-    manifest.outputs = _emit_figure(args.out, laws, labels, args.grid,
-                                    "density of the two-stable occupation ratio",
-                                    args.deterministic)
-    manifest.finish(Path(args.out).with_suffix(".manifest.json"), args.deterministic)
-    return 0
+    return _emit_figure(args, {"mu": mus},
+                        [LawSpec(LawKind.STABLE_RATIO_A, mu=mu) for mu in mus],
+                        [f"mu = {mu:g}" for mu in mus],
+                        "density of the two-stable occupation ratio")
 
 
 def cmd_figure_spider(args) -> int:
     rays = _parse_ints(args.n)
     if not rays:
         raise UsageError("need at least one ray count")
-    seed = _resolve_seed(args.seed)
-    manifest = RunManifest.begin(
-        "figure-spider", {"n": rays, "grid": args.grid}, seed, args.deterministic)
-    laws = [LawSpec(LawKind.SPIDER_OCCUPATION, n=n) for n in rays]
-    labels = [f"n = {n}" for n in rays]
-    manifest.outputs = _emit_figure(args.out, laws, labels, args.grid,
-                                    "density of one spider occupation fraction",
-                                    args.deterministic)
-    manifest.finish(Path(args.out).with_suffix(".manifest.json"), args.deterministic)
-    return 0
+    return _emit_figure(args, {"n": rays},
+                        [LawSpec(LawKind.SPIDER_OCCUPATION, n=n) for n in rays],
+                        [f"n = {n}" for n in rays],
+                        "density of one spider occupation fraction")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +240,7 @@ def cmd_figure_spider(args) -> int:
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        prepare_out(args.out)
     reports, extras = run_suite(args.suite, seed)
     if args.out:
         write_reports_jsonl(reports, args.out)

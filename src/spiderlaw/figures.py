@@ -7,13 +7,12 @@ are clamped at the plot ceiling (the laws here diverge at the endpoints).
 """
 from __future__ import annotations
 
-import csv
-import json
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .laws import DensityCurve
+from .output import sidecar_path, write_csv, write_json
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -26,17 +25,10 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 42, 54
 
 def write_curve_csv(curve: DensityCurve, csv_path):
     """Write (z, pdf, cdf) rows plus a JSON sidecar describing the law."""
-    csv_path = str(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "pdf", "cdf"])
-        for z, p, c in zip(curve.grid, curve.pdf_values, curve.cdf_values):
-            writer.writerow([repr(float(z)), repr(float(p)), repr(float(c))])
-    sidecar = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump({"law": curve.law.as_dict(), "points": len(curve.grid)}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(csv_path, ["z", "pdf", "cdf"],
+              [curve.grid, curve.pdf_values, curve.cdf_values])
+    sidecar = sidecar_path(csv_path)
+    write_json(sidecar, {"law": curve.law.as_dict(), "points": len(curve.grid)})
     return sidecar
 
 

@@ -17,13 +17,12 @@ normal N.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterDomainError
+from .output import sidecar_path, write_csv, write_json
 from .rng import RngStream
 
 
@@ -244,36 +243,26 @@ def sample_arcsine(rng: RngStream, size=None, method="cosine",
 # ---------------------------------------------------------------------------
 
 def save_sample_batch(csv_path, values, law: str, parameters: dict, seed: int,
-                      stream_count: int = 1, meta: BatchMeta | None = None):
+                      meta: BatchMeta | None = None):
     """Write samples as CSV plus a JSON sidecar describing the batch.
 
     One column per coordinate; the header carries the law name and its
     parameters so the CSV is self-describing.
     """
-    arr = np.atleast_2d(np.asarray(values, dtype=float))
-    if arr.shape[0] == 1 and np.ndim(values) == 1:
-        arr = arr.T
+    arr = np.asarray(values, dtype=float).reshape(len(values), -1)
     suffix = "".join(f"_{k}{v:g}" for k, v in sorted(parameters.items()))
     if arr.shape[1] == 1:
         header = [f"{law}{suffix}"]
     else:
         header = [f"{law}{suffix}_ray{j + 1}" for j in range(arr.shape[1])]
-    csv_path = str(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in arr:
-            writer.writerow([repr(float(x)) for x in row])
-    sidecar = {
+    write_csv(csv_path, header, arr.T)
+    sidecar = sidecar_path(csv_path)
+    write_json(sidecar, {
         "law": law,
         "parameters": dict(parameters),
         "seed": int(seed),
-        "stream_count": int(stream_count),
+        "stream_count": 1,
         "n_samples": int(arr.shape[0]),
         "redraw_count": 0 if meta is None else int(meta.redraws),
-    }
-    sidecar_path = csv_path[:-4] + ".json" if csv_path.endswith(".csv") else csv_path + ".json"
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return sidecar_path
+    })
+    return sidecar

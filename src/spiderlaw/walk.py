@@ -33,15 +33,14 @@ regardless of how many paths they hold.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ParameterDomainError, UsageError
+from .output import write_csv, write_json
 from .rng import RngStream, composite_stream_id
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
@@ -49,7 +48,7 @@ DEFAULT_LOCAL_TIME_LEVEL = 1.0
 DEFAULT_CAP_MULTIPLIER = 1.0e5
 
 _MAX_RAYS = 32767  # rays are floor(n v); checked to stay below n for all v < 1
-_ROUND_ELEMENTS = 1 << 18  # excursions drawn per round across a group of paths
+_ROUND_ELEMENTS = 1 << 18  # excursions drawn per round, by one path or a group
 _EXACT_STEPS = 1 << 53  # step totals are float64, exact only up to here
 
 
@@ -270,15 +269,18 @@ def _path_generator(config: SpiderConfig, run_id: int, index: int):
 
 
 def _block_size(config: SpiderConfig, rule: StoppingRule) -> int:
-    """Excursions each path draws per round.
+    """Excursions each path draws per round, at most ``_ROUND_ELEMENTS``.
 
     The local-time rule needs exactly its threshold.  The other rules stop
     after about sqrt(2 t / pi) excursions for a horizon of t steps, with a
     half-normal spread, so sqrt(t) per round stops most paths in one round.
+    The cap bounds a round's memory; a longer path takes more rounds.
     """
     if rule.kind == "inverse_local_time":
-        return rule.threshold(config)
-    return math.ceil(math.sqrt(rule.nominal_steps(config)))
+        block = rule.threshold(config)
+    else:
+        block = math.ceil(math.sqrt(rule.nominal_steps(config)))
+    return min(block, _ROUND_ELEMENTS)
 
 
 def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
@@ -364,7 +366,7 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
 
 def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dict:
     """Stop ``config.paths`` paths on their own substreams, a group at a time."""
-    group = max(1, _ROUND_ELEMENTS // _block_size(config, rule))
+    group = _ROUND_ELEMENTS // _block_size(config, rule)
     parts = []
     for lo in range(0, config.paths, group):
         hi = min(lo + group, config.paths)
@@ -406,57 +408,37 @@ def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = 0) -> Sto
 
 def write_batch_csv(csv_path, batch: StopBatch):
     """Per-path summary rows; discarded paths keep their flag and empty stats."""
-    config = batch.config
-    n = config.n
+    n, paths = batch.config.n, batch.config.paths
     header = (
         ["path_id"]
         + [f"frac_ray{j + 1}" for j in range(n)]
         + ["zero_visits", "last_zero_fraction", "stopped_step", "discarded"]
     )
-    keep = batch.kept
-    stopped = batch.stopped_step
-    zv = batch.zero_visits
-    disc = batch.discarded
-    fracs = np.zeros((config.paths, n))
+    keep, disc = batch.kept, batch.discarded
+    fracs = np.zeros((paths, n))
     fracs[keep] = batch.fractions
-    lz = np.zeros(config.paths)
+    lz = np.zeros(paths)
     lz[keep] = batch.last_zero_fraction
-    with open(str(csv_path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p in range(config.paths):
-            if disc[p]:
-                row = [p] + [""] * n + ["", "", "", "true"]
-            else:
-                row = (
-                    [p]
-                    + [repr(float(x)) for x in fracs[p]]
-                    + [int(zv[p]), repr(float(lz[p])), int(stopped[p]), "false"]
-                )
-            writer.writerow(row)
+    stats = list(fracs.T) + [batch.zero_visits, lz, batch.stopped_step]
+    write_csv(csv_path, header,
+              [np.arange(paths)]
+              + [np.ma.masked_array(col, mask=disc) for col in stats]
+              + [np.where(disc, "true", "false")])
 
 
 def write_run_manifest(path, batch: StopBatch, wall_time_s: float | None):
     """JSON manifest of one run; pass ``wall_time_s=None`` for byte-stable output."""
     config, rule = batch.config, batch.rule
-    manifest = {
+    write_json(path, {
         "n": config.n,
         "steps": config.steps,
         "paths": config.paths,
         "seed": config.seed,
         "run_id": batch.run_id,
-        "rule": None if rule is None else {
-            "kind": rule.kind,
-            "level": rule.level,
-            "ray": rule.ray,
-            "cap_multiplier": rule.cap_multiplier,
-        },
+        "rule": None if rule is None else asdict(rule),
         "discard_count": batch.discard_count,
         "wall_time_s": wall_time_s,
-    }
-    with open(str(path), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def run_walk_batch(config: SpiderConfig, rule: StoppingRule | None, csv_path,

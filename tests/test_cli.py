@@ -2,6 +2,7 @@ import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from spiderlaw import GofReport, arcsine_cdf, arcsine_pdf, ks_one_sample
 from spiderlaw.cli import main
@@ -86,6 +87,26 @@ def test_outputs_into_missing_directory(tmp_path):
     assert main(["verify", "--suite", "convergence",
                  "--out", str(out / "r.jsonl")]) == 0
     assert (out / "r.jsonl").is_file()
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["sample", "--law", "arcsine", "--count", "10", "--out", "afile/x"],
+     "spiderlaw.cli.sample_arcsine"),
+    (["verify", "--suite", "densities", "--out", "afile/r.jsonl"],
+     "spiderlaw.cli.run_suite"),
+    (["figure-spider", "--out", "afile/f"], "spiderlaw.cli.build_density_curve"),
+], ids=["sample", "verify", "figure-spider"])
+def test_out_under_a_regular_file(tmp_path, monkeypatch, capsys, argv, work):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran for an unusable --out")
+
+    monkeypatch.setattr(work, no_work)
+    argv = [str(tmp_path / a) if a.startswith("afile/") else a for a in argv]
+    assert main(argv) == 2
+    assert str(afile) in capsys.readouterr().err
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from spiderlaw import (
 )
 from spiderlaw.walk import (
     _first_return_lengths,
+    _return_tail_table,
     run_walk_batch,
     write_batch_csv,
     write_run_manifest,
@@ -117,6 +119,20 @@ def test_exact_landing_on_the_horizon():
     one = simulate_batch(replace(config, steps=1))
     assert (one.zero_visits == 1).all() and (one.last_zero_step == 0).all()
     assert (one.counts.sum(axis=1) == 1).all()
+
+
+def test_long_walk_memory_is_bounded():
+    # a round holds at most 2**18 excursions however long the path is, so
+    # memory does not grow with sqrt(steps); the return table is built first
+    _return_tail_table()
+    tracemalloc.start()
+    try:
+        batch = simulate_batch(SpiderConfig(n=3, steps=2 ** 44, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.stopped_step[0] == 2 ** 44
+    assert peak < 64 * 2 ** 20
 
 
 def test_first_return_lengths_on_unit_interval_edges():
