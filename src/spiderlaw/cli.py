@@ -84,18 +84,11 @@ def _resolve_seed(value) -> int:
     return 0
 
 
-def _parse_floats(text) -> list[float]:
+def _parse_list(text, kind) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise UsageError(f"expected a comma-separated float list: {text!r}") from exc
-
-
-def _parse_ints(text) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"expected a comma-separated integer list: {text!r}") from exc
+        raise UsageError(f"expected a comma-separated {kind.__name__} list: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +188,9 @@ def cmd_sample(args) -> int:
 
 def _emit_figure(args, parameters, laws, labels, title) -> int:
     """One CSV + sidecar per law, the SVG overlay, then the run manifest."""
-    prefix = prepare_out(args.out)
+    out = Path(args.out)
+    svg_path = prepare_out(out.parent / f"{out.name}.svg")
+    prefix = svg_path.with_suffix("")
     manifest = RunManifest.begin(args.command, {**parameters, "grid": args.grid},
                                  _resolve_seed(args.seed), args.deterministic)
     curves = []
@@ -205,7 +200,6 @@ def _emit_figure(args, parameters, laws, labels, title) -> int:
         sidecar = write_curve_csv(curve, csv_path)
         curves.append(curve)
         manifest.outputs += [str(csv_path), sidecar]
-    svg_path = prefix.parent / f"{prefix.name}.svg"
     render_curves_svg(curves, labels, svg_path, title=title,
                       deterministic=args.deterministic)
     manifest.outputs.append(str(svg_path))
@@ -214,7 +208,7 @@ def _emit_figure(args, parameters, laws, labels, title) -> int:
 
 
 def cmd_figure_ratio(args) -> int:
-    mus = _parse_floats(args.mu)
+    mus = _parse_list(args.mu, float)
     if not mus:
         raise UsageError("need at least one mu")
     return _emit_figure(args, {"mu": mus},
@@ -224,7 +218,7 @@ def cmd_figure_ratio(args) -> int:
 
 
 def cmd_figure_spider(args) -> int:
-    rays = _parse_ints(args.n)
+    rays = _parse_list(args.n, int)
     if not rays:
         raise UsageError("need at least one ray count")
     return _emit_figure(args, {"n": rays},

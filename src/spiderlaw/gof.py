@@ -135,24 +135,18 @@ def ks_two_sample(a, b, *, name="ks2", seed=0, threshold=0.01,
 # Monte-Carlo transform checks
 # ---------------------------------------------------------------------------
 
-def mc_transform_check(sampler, functional, target, n_samples, rng: RngStream,
-                       *, name="mc", band=4.0) -> GofReport:
-    """Check |mean functional(draws) - target| <= band * standard error.
-
-    ``sampler(rng, size)`` must return ``size`` draws.  The statistic stored
-    is the standardised deviation, so the threshold is the band itself.
-    """
-    values = np.asarray(functional(sampler(rng, int(n_samples))), dtype=float)
+def mc_transform_check(values, target, *, name="mc", seed=0, band=4.0) -> GofReport:
+    """Check |mean(values) - target| <= band * standard error, for a functional
+    ``values`` of iid draws made at ``seed``.  The statistic stored is the
+    standardised deviation, so the threshold is the band itself."""
+    values = np.asarray(values, dtype=float)
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
         raise NonFiniteSamplesError(bad, values.size)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(values.size))
-    stat = abs(mean - target) / se if se > 0 else math.inf * abs(mean - target)
-    if se == 0.0 and mean == target:
-        stat = 0.0
-    return GofReport(name, float(stat), None, int(n_samples), 0, rng.seed,
-                     float(band), "stat_max")
+    stat = abs(mean - target) / se if se > 0 else (0.0 if mean == target else math.inf)
+    return GofReport(name, float(stat), None, values.size, 0, seed, float(band), "stat_max")
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,14 @@ def sidecar_path(csv_path) -> str:
 
 
 def prepare_out(path) -> Path:
-    """Create the parent directory of an output path; a parent that cannot be
-    a directory (say, a regular file) is a usage error naming the path."""
+    """Create the parent directory of an output file.  A parent that cannot be
+    a directory (say, a regular file), or a file path that names an existing
+    directory, is a usage error naming the path."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror} ({exc.filename})") from exc
+    if path.is_dir():
+        raise UsageError(f"cannot write {path}: it is a directory")
     return path

@@ -1,14 +1,13 @@
 """Seedable, splittable random streams.
 
-Every random quantity in the package is drawn through an :class:`RngStream`,
-a thin wrapper over numpy's PCG64 keyed by ``(seed, stream_id)``.  Identical
-keys reproduce identical sequences bit for bit; distinct ``stream_id`` values
-yield statistically independent streams, so parallel batches simply partition
-work by stream id.
+Samplers and verification suites draw through an :class:`RngStream`, a thin
+wrapper over numpy's PCG64 keyed by ``(seed, stream_id)``: identical keys
+reproduce identical sequences bit for bit, and distinct ``stream_id`` values
+yield statistically independent streams.  Walk paths skip the wrapper and key
+a Philox generator by the same pair (see :mod:`spiderlaw.walk`).
 
-Batch runs that need many substreams derive them with :func:`composite_stream_id`:
-the run index occupies the high 32 bits and the path index the low 32 bits,
-which keeps the streams of different runs within one verification disjoint.
+:func:`composite_stream_id` packs a run index (high 32 bits) and a path index
+(low 32 bits) into one stream id, which keeps the runs of one verification apart.
 """
 from __future__ import annotations
 

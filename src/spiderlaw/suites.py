@@ -69,52 +69,40 @@ def _deterministic_report(name, gap, tol) -> GofReport:
 # ---------------------------------------------------------------------------
 
 def transform_suite(seed, n_samples=TRANSFORM_SAMPLES):
-    """Laplace, Stieltjes, Mellin and fractional-moment bands at 4 sigma.
+    """Laplace, Stieltjes, Mellin and fractional-moment bands at 4 sigma, and
+    a KS test of X^mu, whose mean is infinite, against its closed-form CDF.
 
-    X^mu is heavy-tailed (E[X^mu] is infinite), so its law is checked by a
-    one-sample KS against the closed-form CDF rather than by a band.
+    Per mu, one batch of stable draws S serves the Laplace and moment checks,
+    then one batch of ratios X = S / S' the others; one batch is held at a
+    time.  Reports within one mu share their draws, so they are correlated.
     """
     reports = []
-    idx = 0
-    for mu in TRANSFORM_MUS:
+
+    def band(name, values, target):
+        reports.append(mc_transform_check(values, target, name=name, seed=seed))
+
+    for k, mu in enumerate(TRANSFORM_MUS):
         params = StableParams(mu)
-        stable = lambda rng, size: sample_positive_stable(params, rng, size)
-        ratio = lambda rng, size: sample_ratio_X(params, rng, size)
+        s = sample_positive_stable(params, _stream(seed, 2 * k), n_samples)
         for lam in LAPLACE_LAMBDAS:
-            reports.append(mc_transform_check(
-                stable, lambda s, lam=lam: np.exp(-lam * s),
-                math.exp(-lam ** mu), n_samples, _stream(seed, idx),
-                name=f"laplace[mu={mu},lam={lam}]",
-            ))
-            idx += 1
-        for s in STIELTJES_S:
-            reports.append(mc_transform_check(
-                ratio, lambda x, s=s: 1.0 / (1.0 + s * x),
-                stieltjes_transform(s, mu), n_samples, _stream(seed, idx),
-                name=f"stieltjes[mu={mu},s={s}]",
-            ))
-            idx += 1
+            band(f"laplace[mu={mu},lam={lam}]", np.exp(-lam * s), math.exp(-lam ** mu))
+        for order in MOMENT_ORDERS:
+            band(f"moment[mu={mu},s={order}]", s ** (mu * order),
+                 fractional_moment(order, mu))
+        del s
+        x = sample_ratio_X(params, _stream(seed, 2 * k + 1), n_samples)
+        for t in STIELTJES_S:
+            band(f"stieltjes[mu={mu},s={t}]", 1.0 / (1.0 + t * x),
+                 stieltjes_transform(t, mu))
         for frac in MELLIN_FRACTIONS:
-            s = frac * mu
-            reports.append(mc_transform_check(
-                ratio, lambda x, s=s: x ** s,
-                mellin_transform(s, mu), n_samples, _stream(seed, idx),
-                name=f"mellin[mu={mu},s={s:g}]",
-            ))
-            idx += 1
-        y = sample_ratio_X(params, _stream(seed, idx), n_samples) ** mu
+            band(f"mellin[mu={mu},s={frac * mu:g}]", x ** (frac * mu),
+                 mellin_transform(frac * mu, mu))
+        x **= mu
         reports.append(ks_one_sample(
-            y, lambda v, mu=mu: ratio_power_cdf(v, mu), name=f"ratio_power_ks[mu={mu}]",
+            x, lambda y, mu=mu: ratio_power_cdf(y, mu), name=f"ratio_power_ks[mu={mu}]",
             seed=seed, threshold=RATIO_POWER_P_MIN,
         ))
-        idx += 1
-        for s in MOMENT_ORDERS:
-            reports.append(mc_transform_check(
-                stable, lambda v, p=mu * s: v ** p,
-                fractional_moment(s, mu), n_samples, _stream(seed, idx),
-                name=f"moment[mu={mu},s={s}]",
-            ))
-            idx += 1
+        del x
     return reports
 
 

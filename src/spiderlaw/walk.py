@@ -26,10 +26,12 @@ so fixed-time laws are exact for horizons of up to 2**21 steps.  Longer
 excursions use the far-tail asymptotic P(T > 2k) ~ (pi k)**-1/2 (1 - 1/(8k)),
 whose inversion is accurate to well under one step.
 
-Each path owns a private substream ``(seed, composite_stream_id(run_id, p))``
-and draws it in rounds of a fixed number of excursions that depends only on
-the configuration and the rule, so batches are reproducible bit for bit
-regardless of how many paths they hold.
+Paths draw in rounds of a number of excursions fixed by the configuration
+and the rule.  Round r of path p is Philox4x64-10 (Salmon et al., SC'11)
+keyed by ``(seed, composite_stream_id(run_id, p))`` at counter ``(0, 0, 0,
+r)``: a round advances only the lowest word, so rounds never overlap.  One
+Philox serves a group of paths, re-keyed with an empty buffer before each
+draw, so path p is row p of a batch of any size, bit for bit.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, UsageError
 from .output import write_csv, write_json
-from .rng import RngStream, composite_stream_id
+from .rng import composite_stream_id
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
@@ -85,6 +87,8 @@ class SpiderConfig:
             )
         if int(self.paths) != self.paths or self.paths < 1:
             raise ParameterDomainError(f"paths must be a positive integer: {self.paths}")
+        if int(self.seed) != self.seed or not 0 <= self.seed < 1 << 64:
+            raise ParameterDomainError(f"seed must be a 64-bit unsigned int: {self.seed}")
 
 
 _RULE_KINDS = ("fixed_time", "inverse_occupation", "inverse_local_time")
@@ -263,11 +267,6 @@ def _first_return_lengths(u: np.ndarray) -> np.ndarray:
 # the excursion engine
 # ---------------------------------------------------------------------------
 
-def _path_generator(config: SpiderConfig, run_id: int, index: int):
-    stream = RngStream(config.seed, composite_stream_id(run_id, index))
-    return stream.generator
-
-
 def _block_size(config: SpiderConfig, rule: StoppingRule) -> int:
     """Excursions each path draws per round, at most ``_ROUND_ELEMENTS``.
 
@@ -283,14 +282,20 @@ def _block_size(config: SpiderConfig, rule: StoppingRule) -> int:
     return min(block, _ROUND_ELEMENTS)
 
 
-def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
-    """Stop one path per generator by ``rule``; returns column arrays.
+def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> dict:
+    """Stop the paths with ids ``paths`` by ``rule``; returns column arrays.
 
-    Per round, each live path makes one draw of 2 * block uniforms: the
-    first block picks the rays (floor(n v)), the second gives the
-    first-return lengths (inverted from 1 - v, which lies in (0, 1]).
+    Per round, each live path makes one draw of 2 * block uniforms at its
+    own key and the round's counter: the first block picks the rays
+    (floor(n v)), the second gives the first-return lengths (inverted from
+    1 - v, which lies in (0, 1]).
     """
-    n, m = config.n, len(gens)
+    n, m = config.n, len(paths)
+    streams = [composite_stream_id(run_id, p) for p in paths]
+    gen = np.random.Generator(np.random.Philox(0))
+    key, counter = [config.seed, 0], [0, 0, 0, 0]  # counter word 3 is the round
+    state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     block = _block_size(config, rule)
     thresh = float(rule.threshold(config))
     cap = float(rule.cap_steps(config))
@@ -308,7 +313,10 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
         a = alive.size
         draws = np.empty((a, 2, block))
         for i, p in enumerate(alive):
-            gens[p].random(out=draws[i])
+            key[1] = streams[p]
+            gen.bit_generator.state = state
+            gen.random(out=draws[i])
+        counter[3] += 1
         rays = np.floor(draws[:, 0] * n).astype(np.intp)
         lengths = _first_return_lengths(1.0 - draws[:, 1])
 
@@ -365,13 +373,10 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, gens) -> dict:
 
 
 def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dict:
-    """Stop ``config.paths`` paths on their own substreams, a group at a time."""
+    """Stop ``config.paths`` paths on their own keys, a group at a time."""
     group = _ROUND_ELEMENTS // _block_size(config, rule)
-    parts = []
-    for lo in range(0, config.paths, group):
-        hi = min(lo + group, config.paths)
-        parts.append(_resolve(config, rule, [_path_generator(config, run_id, p)
-                                             for p in range(lo, hi)]))
+    parts = [_resolve(config, rule, run_id, range(lo, min(lo + group, config.paths)))
+             for lo in range(0, config.paths, group)]
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 

@@ -109,6 +109,25 @@ def test_out_under_a_regular_file(tmp_path, monkeypatch, capsys, argv, work):
     assert str(afile) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, target, work", [
+    (["sample", "--law", "arcsine", "--count", "10", "--out", "x"], "x.csv",
+     "spiderlaw.cli.sample_arcsine"),
+    (["verify", "--suite", "densities", "--out", "r.jsonl"], "r.jsonl",
+     "spiderlaw.cli.run_suite"),
+], ids=["sample", "verify"])
+def test_out_naming_a_directory(tmp_path, monkeypatch, capsys, argv, target, work):
+    # the target file is an existing directory: exit 2 before any work runs
+    (tmp_path / target).mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran for an unusable --out")
+
+    monkeypatch.setattr(work, no_work)
+    argv[-1] = str(tmp_path / argv[-1])
+    assert main(argv) == 2
+    assert str(tmp_path / target) in capsys.readouterr().err
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("SPIDER_SEED", "777")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -95,21 +95,41 @@ def test_p_value_decreases_with_statistic():
 
 
 def test_mc_transform_check_calibration():
-    sampler = lambda rng, size: rng.normal(size)
-    passes = mc_transform_check(sampler, lambda x: x, 0.0, 200_000,
-                                RngStream(11, 0), name="mean0")
+    draws = RngStream(11, 0).normal(200_000)
+    passes = mc_transform_check(draws, 0.0, name="mean0", seed=11)
     assert passes.passed
+    assert (passes.n1, passes.seed) == (200_000, 11)
     # a 0.05 shift is ~22 standard errors at this sample size
-    fails = mc_transform_check(sampler, lambda x: x, 0.05, 200_000,
-                               RngStream(11, 0), name="mean-shifted")
+    fails = mc_transform_check(draws, 0.05, name="mean-shifted", seed=11)
     assert not fails.passed
 
 
 def test_mc_transform_check_rejects_nonfinite():
-    sampler = lambda rng, size: np.zeros(size)
     with np.errstate(divide="ignore"):
-        with pytest.raises(NonFiniteSamplesError):
-            mc_transform_check(sampler, lambda x: 1.0 / x, 1.0, 100, RngStream(11, 1))
+        values = 1.0 / np.zeros(100)
+    with pytest.raises(NonFiniteSamplesError):
+        mc_transform_check(values, 1.0)
+
+
+def test_transform_suite_draw_budget(monkeypatch):
+    # per mu one stable batch and one ratio batch (two stable batches):
+    # 3 mu x 3 batches x 1e6 = 9e6 stable draws for 30 reports of 1e6 each
+    import spiderlaw.samplers as samplers
+    import spiderlaw.suites as suites
+
+    drawn = []
+    real = samplers.sample_positive_stable
+
+    def counting(params, rng, size=None, meta=None):
+        drawn.append(size)
+        return real(params, rng, size, meta)
+
+    monkeypatch.setattr(samplers, "sample_positive_stable", counting)
+    monkeypatch.setattr(suites, "sample_positive_stable", counting)
+    reports = suites.transform_suite(3)
+    assert len(reports) == 30
+    assert all(r.n1 == 1_000_000 and r.seed == 3 for r in reports)
+    assert sum(drawn) == 9_000_000
 
 
 def test_report_serialisation(tmp_path):

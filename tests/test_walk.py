@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as sp_stats
 
 from spiderlaw import (
     ParameterDomainError,
@@ -12,6 +13,7 @@ from spiderlaw import (
     StoppingRule,
     UsageError,
     arcsine_cdf,
+    composite_stream_id,
     ks_one_sample,
     ks_two_sample,
     simulate_batch,
@@ -43,6 +45,11 @@ def test_config_validation():
     SpiderConfig(n=2, steps=2 ** 53 - 1)
     with pytest.raises(ParameterDomainError):
         SpiderConfig(n=2, steps=2 ** 53)
+    # the seed is the first 64-bit word of every path's Philox key
+    SpiderConfig(n=2, steps=2000, seed=2 ** 64 - 1)
+    for seed in (-1, 2 ** 64, 0.5):
+        with pytest.raises(ParameterDomainError):
+            SpiderConfig(n=2, steps=2000, seed=seed)
 
 
 def test_stopping_rule_validation():
@@ -84,6 +91,20 @@ def test_batch_reproducible_and_size_independent():
                        "discarded"):
             assert np.array_equal(getattr(a, column), getattr(b, column))
             assert np.array_equal(getattr(a, column)[:40], getattr(c, column))
+
+
+def test_path_draws_follow_the_philox_key_layout():
+    # round 0 of path p is Philox keyed (seed, composite_stream_id(run, p)) at
+    # counter (0, 0, 0, 0); at 2 steps a round is 2 excursions, the first
+    # picks the ray floor(n u[0]) and returns at once iff u[2] < 1/2
+    config = SpiderConfig(n=5, steps=2, paths=64, seed=2 ** 64 - 3,
+                          allow_small_steps=True)
+    batch = simulate_batch(config, run_id=7)
+    for p in range(config.paths):
+        key = np.array([config.seed, composite_stream_id(7, p)], dtype=np.uint64)
+        u = np.random.Generator(np.random.Philox(key=key)).random(4)
+        assert batch.counts[p, int(u[0] * 5)] == 2
+        assert batch.zero_visits[p] == (2 if u[2] < 0.5 else 1)
 
 
 def test_conservation_every_path():
@@ -217,52 +238,48 @@ def test_stop_rules_need_two_rays():
         stop_batch(config, StoppingRule.fixed_time(1.0))
 
 
-class _BufferedWalk:
-    """Honest per-step reference walk, fed by buffered uniforms."""
+def _stepwise_reference(n, steps, rule, level, ray_j, cap, paths, seed):
+    """Honest per-step reference walk, all paths at once, one uniform per step.
 
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self._buf = self._rng.random(1 << 14)
-        self._i = 0
-
-    def _u(self):
-        if self._i >= self._buf.size:
-            self._buf = self._rng.random(1 << 14)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
-
-    def stop(self, n, steps, rule, level, ray_j, cap):
-        """(first-ray fraction, last-zero fraction, zero visits), or None at the cap."""
-        counts = [0] * n
-        d = 0
-        ray = -1
-        zero_visits = 1
-        last_zero = 0
-        t = 0
-        horizon = max(1, round(level * steps))
-        occ_threshold = math.floor(level * steps) + 1
-        lt_threshold = math.floor(level * math.sqrt(steps))
-        while True:
-            if t >= cap:
-                return None
-            if d == 0:
-                ray = int(self._u() * n)
-                d = 1
-            else:
-                d += 1 if self._u() < 0.5 else -1
-            t += 1
-            counts[ray] += 1
-            if d == 0:
-                zero_visits += 1
-                last_zero = t
-            if (
-                (rule == "fixed" and t == horizon)
-                or (rule == "lt" and zero_visits > lt_threshold)
-                or (rule == "occ" and ray == ray_j and counts[ray_j] >= occ_threshold)
-            ):
-                return counts[0] / t, last_zero / t, zero_visits
+    At the origin a path takes the ray floor(n u); elsewhere it steps
+    outwards when u < 1/2.  Returns (first-ray fraction, last-zero fraction,
+    zero visits) of the paths that stop within ``cap`` steps; the others are
+    dropped, as the engine discards them.
+    """
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((paths, n), dtype=np.int64)
+    d = np.zeros(paths, dtype=np.int64)
+    ray = np.zeros(paths, dtype=np.intp)
+    zero_visits = np.ones(paths, dtype=np.int64)
+    last_zero = np.zeros(paths, dtype=np.int64)
+    horizon = max(1, round(level * steps))
+    occ_threshold = math.floor(level * steps) + 1
+    lt_threshold = math.floor(level * math.sqrt(steps))
+    done = []
+    for t in range(1, cap + 1):
+        if not d.size:
+            break
+        u = rng.random(d.size)
+        at_origin = d == 0
+        ray = np.where(at_origin, (u * n).astype(np.intp), ray)
+        d = np.where(at_origin, 1, d + np.where(u < 0.5, 1, -1))
+        counts[np.arange(d.size), ray] += 1
+        back = d == 0
+        zero_visits += back
+        last_zero[back] = t
+        if rule == "fixed":
+            stop = np.full(d.size, t == horizon)
+        elif rule == "lt":
+            stop = zero_visits > lt_threshold
+        else:
+            stop = (ray == ray_j) & (counts[:, ray_j] >= occ_threshold)
+        if stop.any():
+            done.append(np.stack([counts[stop, 0] / t, last_zero[stop] / t,
+                                  zero_visits[stop]], axis=1))
+            live = ~stop
+            counts, d, ray = counts[live], d[live], ray[live]
+            zero_visits, last_zero = zero_visits[live], last_zero[live]
+    return np.concatenate(done)
 
 
 @pytest.mark.parametrize("rule_kind", ["lt", "occ", "fixed"])
@@ -284,19 +301,95 @@ def test_excursion_engine_matches_stepwise_reference(rule_kind):
         ours["last_zero"] = batch.last_zero_step[kept] / batch.stopped_step[kept]
         ours["zero_visits"] = batch.zero_visits[kept]
 
-    reference = _BufferedWalk(seed=54)
-    cap = rule.cap_steps(config)
-    ref = []
-    for _ in range(paths):
-        value = reference.stop(n, steps, rule_kind, rule.level,
-                               1 if rule_kind == "occ" else None, cap)
-        if value is not None:
-            ref.append(value)
-    ref = dict(zip(("fraction", "last_zero", "zero_visits"), np.asarray(ref).T))
+    ref = _stepwise_reference(n, steps, rule_kind, rule.level,
+                              1 if rule_kind == "occ" else None,
+                              rule.cap_steps(config), paths, seed=54)
+    ref = dict(zip(("fraction", "last_zero", "zero_visits"), ref.T))
     for key, values in ours.items():
         report = ks_two_sample(values, ref[key], seed=53,
                                name=f"excursion~stepwise[{rule_kind},{key}]")
         assert report.passed, (report.test_name, report.statistic, report.p_value)
+
+
+def _exact_two_ray_law(steps, kind, level, ray_j, cap):
+    """Exact law of the stopped two-ray walk, by enumerating every path.
+
+    With two rays every step is a fair coin: at the origin it picks the ray,
+    elsewhere it steps in or out.  All 2**cap coin sequences are walked for
+    ``cap`` steps; a path's outcome is (ray-1 count, ray-2 count, zero
+    visits, last zero) when the rule fires within the cap, else None.
+    Returns {outcome: probability}.
+    """
+    coins = np.arange(1 << cap, dtype=np.int64)
+    size = coins.size
+    counts = np.zeros((size, 2), dtype=np.int64)
+    d = np.zeros(size, dtype=np.int64)
+    ray = np.zeros(size, dtype=np.int64)
+    zero_visits = np.ones(size, dtype=np.int64)
+    last_zero = np.zeros(size, dtype=np.int64)
+    stopped = np.zeros(size, dtype=bool)
+    outcome = np.zeros((size, 4), dtype=np.int64)
+    for t in range(1, cap + 1):
+        coin = (coins >> (t - 1)) & 1
+        at_origin = d == 0
+        ray = np.where(at_origin, coin, ray)
+        d = np.where(at_origin, 1, d + 1 - 2 * coin)
+        counts[np.arange(size), ray] += 1
+        back = d == 0
+        zero_visits += back
+        last_zero[back] = t
+        if kind == "fixed_time":
+            fire = np.full(size, t == max(1, round(level * steps)))
+        elif kind == "inverse_occupation":
+            fire = counts[:, ray_j - 1] > level * steps
+        else:
+            fire = zero_visits > level * math.sqrt(steps)
+        new = fire & ~stopped
+        outcome[new] = np.column_stack([counts, zero_visits, last_zero])[new]
+        stopped |= new
+    law = {}
+    for row, done in zip(map(tuple, outcome.tolist()), stopped.tolist()):
+        key = row if done else None
+        law[key] = law.get(key, 0.0) + 1.0 / size
+    return law
+
+
+@pytest.mark.parametrize("steps", [6, 7])
+@pytest.mark.parametrize("kind", ["fixed_time", "inverse_occupation", "inverse_local_time"])
+def test_engine_matches_exact_two_ray_law(kind, steps):
+    # chi-square of the joint law of (counts, zero_visits, last_zero, discarded)
+    # against exact enumeration; the rarest cells are pooled until the pool
+    # expects at least 5 paths
+    paths, p_min = 100_000, 1e-3
+    if kind == "fixed_time":
+        rule = StoppingRule.fixed_time(1.0, cap_multiplier=1.0)
+    elif kind == "inverse_occupation":
+        rule = StoppingRule.inverse_occupation(0.5, ray=2, cap_multiplier=2.5)
+    else:
+        rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=2.5)
+    config = SpiderConfig(n=2, steps=steps, paths=paths, seed=83, allow_small_steps=True)
+    law = _exact_two_ray_law(steps, kind, rule.level, rule.ray, rule.cap_steps(config))
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+
+    batch = stop_batch(config, rule, run_id=steps)
+    rows = np.column_stack([batch.counts.astype(np.int64), batch.zero_visits,
+                            batch.last_zero_step])
+    observed = {}
+    for row, gone in zip(map(tuple, rows.tolist()), batch.discarded.tolist()):
+        key = None if gone else row
+        observed[key] = observed.get(key, 0) + 1
+    assert set(observed) <= set(law), set(observed) - set(law)
+
+    cells = sorted(law, key=law.get)
+    expected = np.array([law[c] * paths for c in cells])
+    counted = np.array([observed.get(c, 0) for c in cells], dtype=float)
+    small = np.cumsum(expected) - expected < 5.0
+    if small.any():
+        expected = np.append(expected[~small], expected[small].sum())
+        counted = np.append(counted[~small], counted[small].sum())
+    stat = float(((counted - expected) ** 2 / expected).sum())
+    p = float(sp_stats.chi2.sf(stat, expected.size - 1))
+    assert p >= p_min, (kind, steps, stat, expected.size, p)
 
 
 def test_local_time_proxy_scales_like_a_constant():
