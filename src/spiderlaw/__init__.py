@@ -35,6 +35,8 @@ from .laws import (
     density_mean,
     fractional_moment,
     integrate_density,
+    lamperti_cdf,
+    lamperti_pdf,
     mellin_transform,
     ratio_A_cdf,
     ratio_A_pdf,
@@ -47,11 +49,11 @@ from .laws import (
 from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
-    SimplexVector,
     StableParams,
     sample_arcsine,
     sample_cauchy_spider_marginal,
     sample_occupation_exact,
+    sample_lamperti,
     sample_positive_stable,
     sample_ratio_A,
     sample_ratio_X,

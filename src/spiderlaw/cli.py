@@ -26,7 +26,7 @@ from .errors import ParameterDomainError, UsageError
 from .figures import render_curves_svg, write_curve_csv
 from .gof import summary_table, write_reports_jsonl
 from .laws import LawKind, LawSpec, build_density_curve
-from .output import prepare_out, write_json
+from .output import prepare_out, sidecar_path, write_json
 from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
@@ -36,7 +36,7 @@ from .samplers import (
     sample_occupation_exact,
     sample_positive_stable,
     sample_ratio_A,
-    sample_ratio_X,
+    sample_ratio_power,
     sample_stable_half,
     save_sample_batch,
 )
@@ -124,7 +124,11 @@ def cmd_sample(args) -> int:
         raise UsageError(f"sample count must be positive: {count}")
     out = Path(args.out)
     csv_path = prepare_out(out if out.suffix == ".csv" else out.with_suffix(".csv"))
-    manifest_path = csv_path.with_suffix(".manifest.json")
+    # every declared output is checked before any draw: the sidecar (a
+    # walk's run manifest) and the command manifest beside the CSV
+    json_path = prepare_out(csv_path.with_suffix(
+        ".run.json" if args.law == "spider-walk" else ".json"))
+    manifest_path = prepare_out(csv_path.with_suffix(".manifest.json"))
     manifest = RunManifest.begin(
         "sample",
         {"law": args.law, "mu": args.mu, "n": args.n, "count": count,
@@ -139,10 +143,9 @@ def cmd_sample(args) -> int:
         if args.steps is None:
             raise UsageError("--law spider-walk requires --steps")
         config = SpiderConfig(n=n, steps=args.steps, paths=count, seed=seed)
-        run_manifest_path = csv_path.with_suffix(".run.json")
-        run_walk_batch(config, None, csv_path, run_manifest_path,
+        run_walk_batch(config, None, csv_path, json_path,
                        record_wall_time=not args.deterministic)
-        manifest.outputs += [str(csv_path), str(run_manifest_path)]
+        manifest.outputs += [str(csv_path), str(json_path)]
         manifest.finish(manifest_path, args.deterministic)
         return 0
 
@@ -159,7 +162,7 @@ def cmd_sample(args) -> int:
         law_name = "stable_half"
     elif args.law == "ratio-power":
         params = _require_mu(args)
-        values = sample_ratio_X(params, rng, count, meta=meta) ** params.mu
+        values = sample_ratio_power(params, rng, count, meta=meta)
         law_name, parameters = "ratio_power", {"mu": params.mu}
     elif args.law == "ratio-a":
         params = _require_mu(args)
@@ -191,19 +194,23 @@ def _emit_figure(args, parameters, laws, labels, title) -> int:
     out = Path(args.out)
     svg_path = prepare_out(out.parent / f"{out.name}.svg")
     prefix = svg_path.with_suffix("")
+    manifest_path = prepare_out(prefix.with_suffix(".manifest.json"))
+    csv_paths = [prepare_out(prefix.parent / f"{prefix.name}_{law.label()}.csv")
+                 for law in laws]
+    for csv_path in csv_paths:
+        prepare_out(sidecar_path(csv_path))
     manifest = RunManifest.begin(args.command, {**parameters, "grid": args.grid},
                                  _resolve_seed(args.seed), args.deterministic)
     curves = []
-    for law in laws:
+    for law, csv_path in zip(laws, csv_paths):
         curve = build_density_curve(law, interior_points=args.grid).validate()
-        csv_path = prefix.parent / f"{prefix.name}_{law.label()}.csv"
         sidecar = write_curve_csv(curve, csv_path)
         curves.append(curve)
         manifest.outputs += [str(csv_path), sidecar]
     render_curves_svg(curves, labels, svg_path, title=title,
                       deterministic=args.deterministic)
     manifest.outputs.append(str(svg_path))
-    manifest.finish(prefix.with_suffix(".manifest.json"), args.deterministic)
+    manifest.finish(manifest_path, args.deterministic)
     return 0
 
 

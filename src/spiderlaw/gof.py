@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteSamplesError, UsageError
-from .laws import spider_cdf
+from .laws import ratio_power_cdf, spider_cdf
 from .rng import RngStream, composite_stream_id
 from .samplers import sample_occupation_exact
 from .walk import (
@@ -226,25 +226,6 @@ def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
 # deterministic convergence of the scaled marginal to a squared Cauchy
 # ---------------------------------------------------------------------------
 
-def _scaled_marginal_cdf(x, n):
-    """CDF of n^2 A1 where A1 = 1 / (1 + (n-1)^2 C^2), supported on (0, n^2]."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    out[x <= 0.0] = 0.0
-    inner = (x > 0.0) & (x < n * n)
-    xi = x[inner]
-    out[inner] = (2.0 / np.pi) * np.arctan((n - 1) * np.sqrt(xi) / np.sqrt(n * n - xi))
-    return out
-
-
-def _cauchy_square_cdf(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    out[pos] = (2.0 / np.pi) * np.arctan(np.sqrt(x[pos]))
-    return out
-
-
 def cauchy_square_convergence(n_values, grid_size=1000):
     """Sup-norm distance between n^2 * (first occupation fraction) and C^2.
 
@@ -259,7 +240,10 @@ def cauchy_square_convergence(n_values, grid_size=1000):
             raise UsageError(f"ray counts must be integers >= 2: {n}")
         n = int(n)
         grid = np.sort(np.append(base, float(n * n)))
-        gap = np.abs(_scaled_marginal_cdf(grid, n) - _cauchy_square_cdf(grid))
+        # P(n^2 A1 <= x) on (0, n^2], and P(C^2 <= x) = P(|C| <= sqrt(x)), the
+        # ratio-power law at mu = 1/2
+        scaled = spider_cdf(np.minimum(grid / (n * n), 1.0), n)
+        gap = np.abs(scaled - ratio_power_cdf(np.sqrt(grid), 0.5))
         points.append(ConvergencePoint(n=n, distance=float(gap.max())))
     return points
 

@@ -1,12 +1,16 @@
 """Closed-form densities, distribution functions and transforms.
 
-Four parametric laws are covered:
+Three families of laws are covered:
 
-* the arc-sine law on [0, 1];
-* the law of the mu-th power of a ratio of two iid one-sided stable(mu)
-  variables, supported on [0, inf);
-* the law of S'/(S'+S) for the same pair, supported on [0, 1];
-* the law of one occupation fraction of an n-ray spider, supported on [0, 1].
+* the arc-sine law on [0, 1], kept as an independent reference;
+* the law of the mu-th power of a ratio X = S/S' of two iid one-sided
+  stable(mu) variables, supported on [0, inf);
+* Lamperti's two-parameter law on [0, 1], the law of the time a skew Bessel
+  process spends positive: A = p^(1/mu) S' / (p^(1/mu) S' + q^(1/mu) S) with
+  q = 1 - p.  Its named points are the arc-sine law (1/2, 1/2), the ratio
+  A = S'/(S'+S) at (mu, 1/2) and one occupation fraction of an n-ray spider
+  at (1/2, 1/n); :func:`ratio_A_pdf` and :func:`spider_pdf` (and their CDFs)
+  are these parameter maps.
 
 The distribution functions all reduce to arctangent expressions; each one is
 cross-checked against quadrature of its density in the test suite.
@@ -24,11 +28,22 @@ from .gammafn import gamma
 from .quadrature import integrate_half_line, integrate_unit_interval_pair
 
 
+_FLOAT_MAX = np.finfo(float).max
+_SMALL_MU = 1e-5  # below it ratio_power_cdf uses its mu -> 0 limit
+
+
 def _validate_mu(mu):
     mu = float(mu)
     if not 0.0 < mu < 1.0:
         raise ParameterDomainError(f"stable exponent must lie in (0, 1): {mu}")
     return mu
+
+
+def _validate_p(p):
+    p = float(p)
+    if not 0.0 < p < 1.0:
+        raise ParameterDomainError(f"Lamperti weight p must lie in (0, 1): {p}")
+    return p
 
 
 def _validate_rays(n):
@@ -87,69 +102,66 @@ def ratio_power_cdf(y, mu):
     arr = _as_array(y, "y", 0.0, math.inf)
     s = math.sin(math.pi * mu)
     c = math.cos(math.pi * mu)
-    # arctan((y + cos) / sin) rises from arctan(cot(pi mu)) = pi/2 - pi mu to pi/2
-    val = (np.arctan((arr + c) / s) - (0.5 * math.pi - math.pi * mu)) / (math.pi * mu)
+    if mu < _SMALL_MU:
+        # the arctangent difference below cancels as mu -> 0, where the law
+        # tends to y / (1 + y); the gap is below 0.16 (pi mu)^2 <= 1.6e-11
+        val = arr / (1.0 + arr)
+    else:
+        # arctan((y + cos) / sin) rises from arctan(cot(pi mu)) = pi/2 - pi mu to pi/2
+        with np.errstate(over="ignore"):
+            val = (np.arctan((arr + c) / s) - (0.5 * math.pi - math.pi * mu)) / (math.pi * mu)
     return _scalar_like(y, np.clip(val, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
-# stable ratio on the simplex: A = S'/(S'+S) on [0, 1]
+# Lamperti's law on [0, 1] and its named points
 # ---------------------------------------------------------------------------
 
-def ratio_A_pdf(z, mu):
-    """Density of A = S'/(S'+S); symmetric about 1/2, arc-sine at mu = 1/2.
-
-    The bracket is formed from z**mu and (1-z)**mu separately, so swapping
-    z and 1-z performs the identical float operations and the symmetry
-    holds bit for bit.
-    """
-    mu = _validate_mu(mu)
+def lamperti_pdf(z, mu, p):
+    """sin(pi mu) / (pi z (1-z)) / (r + 1/r + 2 cos(pi mu)) on (0, 1), where
+    r = (p/q) ((1-z)/z)**mu."""
+    mu, p = _validate_mu(mu), _validate_p(p)
     arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
-    a = (1.0 - arr) ** mu
-    b = arr**mu
-    bracket = a / b + b / a + 2.0 * math.cos(math.pi * mu)
-    dens = math.sin(math.pi * mu) / math.pi / (arr * (1.0 - arr) * bracket)
-    return _scalar_like(z, dens)
+    with np.errstate(divide="ignore", over="ignore"):
+        return _scalar_like(z, _lamperti_pdf_pair(arr, 1.0 - arr, mu, p))
 
 
-def ratio_A_cdf(z, mu):
-    """P(A <= z) via the power-ratio law: 1 - F_Y(((1-z)/z)**mu)."""
-    mu = _validate_mu(mu)
+def lamperti_cdf(z, mu, p):
+    """P(A <= z) via the power-ratio law: 1 - F_Y((p/q) ((1-z)/z)**mu)."""
+    mu, p = _validate_mu(mu), _validate_p(p)
     arr = np.atleast_1d(_as_array(z, "z", 0.0, 1.0))
     out = np.empty_like(arr)
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
     inner = (arr > 0.0) & (arr < 1.0)
     if np.any(inner):
-        y = ((1.0 - arr[inner]) / arr[inner]) ** mu
-        out[inner] = 1.0 - ratio_power_cdf(y, mu)
+        with np.errstate(over="ignore"):
+            r = p / (1.0 - p) * ((1.0 - arr[inner]) / arr[inner]) ** mu
+        # an r beyond the float range has cdf 0 to within an ulp
+        out[inner] = 1.0 - ratio_power_cdf(np.minimum(r, _FLOAT_MAX), mu)
     return _scalar_like(z, out.reshape(np.shape(z)))
 
 
-# ---------------------------------------------------------------------------
-# spider occupation marginal: one coordinate of the n-ray occupation vector
-# ---------------------------------------------------------------------------
+def ratio_A_pdf(z, mu):
+    """Density of A = S'/(S'+S): Lamperti's law at p = 1/2, symmetric about
+    1/2 bit for bit (the odds are exactly 1.0), arc-sine at mu = 1/2."""
+    return lamperti_pdf(z, mu, 0.5)
+
+
+def ratio_A_cdf(z, mu):
+    """P(A <= z): Lamperti's CDF at p = 1/2."""
+    return lamperti_cdf(z, mu, 0.5)
+
 
 def spider_pdf(z, n):
-    """(1/pi) / (sqrt(z(1-z)) [ (n-1) z + (1-z)/(n-1) ]) on (0, 1)."""
-    n = _validate_rays(n)
-    arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
-    bracket = (n - 1) * arr + (1.0 - arr) / (n - 1)
-    dens = 1.0 / (np.pi * np.sqrt(arr * (1.0 - arr)) * bracket)
-    return _scalar_like(z, dens)
+    """One spider occupation fraction: Lamperti's law at (1/2, 1/n), i.e.
+    (1/pi) / (sqrt(z(1-z)) [ (n-1) z + (1-z)/(n-1) ])."""
+    return lamperti_pdf(z, 0.5, 1.0 / _validate_rays(n))
 
 
 def spider_cdf(z, n):
-    """P(occupation fraction <= z) = 1 - (2/pi) arctan(sqrt((1-z)/z)/(n-1))."""
-    n = _validate_rays(n)
-    arr = np.atleast_1d(_as_array(z, "z", 0.0, 1.0))
-    out = np.empty_like(arr)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    inner = (arr > 0.0) & (arr < 1.0)
-    zi = arr[inner]
-    out[inner] = 1.0 - (2.0 / np.pi) * np.arctan(np.sqrt((1.0 - zi) / zi) / (n - 1))
-    return _scalar_like(z, out.reshape(np.shape(z)))
+    """1 - (2/pi) arctan(sqrt((1-z)/z)/(n-1)), as Lamperti's CDF at (1/2, 1/n)."""
+    return lamperti_cdf(z, 0.5, 1.0 / _validate_rays(n))
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +204,17 @@ def _arcsine_pdf_pair(z, w):
     return 1.0 / (math.pi * math.sqrt(z * w))
 
 
-def _ratio_A_pdf_pair(z, w, mu):
-    a = w**mu
+def _lamperti_pdf_pair(z, w, mu, p):
+    """Lamperti density on floats or arrays.  The bracket is formed from
+    w**mu and z**mu separately, so at p = 1/2 (odds exactly 1.0) swapping z
+    and w performs the identical float operations."""
+    a = p / (1.0 - p) * w**mu
     b = z**mu
-    bracket = a / b + b / a + 2.0 * math.cos(math.pi * mu)
-    return math.sin(math.pi * mu) / math.pi / (z * w * bracket)
-
-
-def _spider_pdf_pair(z, w, n):
-    return 1.0 / (math.pi * math.sqrt(z * w) * ((n - 1) * z + w / (n - 1)))
+    try:
+        bracket = a / b + b / a + 2.0 * math.cos(math.pi * mu)
+        return math.sin(math.pi * mu) / math.pi / (z * w * bracket)
+    except ZeroDivisionError:  # floats only: a term beyond the float range
+        return 0.0 if a == 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +262,33 @@ class LawSpec:
             return (0.0, math.inf)
         return (0.0, 1.0)
 
+    def _lamperti(self):
+        """(mu, p) of a Lamperti-family law."""
+        if self.kind is LawKind.STABLE_RATIO_A:
+            return self.mu, 0.5
+        return 0.5, 1.0 / self.n
+
     def pdf(self, x):
         if self.kind is LawKind.ARC_SINE:
             return arcsine_pdf(x)
         if self.kind is LawKind.STABLE_RATIO_POWER:
             return ratio_power_pdf(x, self.mu)
-        if self.kind is LawKind.STABLE_RATIO_A:
-            return ratio_A_pdf(x, self.mu)
-        return spider_pdf(x, self.n)
+        return lamperti_pdf(x, *self._lamperti())
 
     def cdf(self, x):
         if self.kind is LawKind.ARC_SINE:
             return arcsine_cdf(x)
         if self.kind is LawKind.STABLE_RATIO_POWER:
             return ratio_power_cdf(x, self.mu)
-        if self.kind is LawKind.STABLE_RATIO_A:
-            return ratio_A_cdf(x, self.mu)
-        return spider_cdf(x, self.n)
+        return lamperti_cdf(x, *self._lamperti())
 
     def pdf_pair(self, z, w):
         """Density evaluated on an exact (z, 1 - z) pair; [0, 1] laws only."""
         if self.kind is LawKind.ARC_SINE:
             return _arcsine_pdf_pair(z, w)
-        if self.kind is LawKind.STABLE_RATIO_A:
-            return _ratio_A_pdf_pair(z, w, self.mu)
-        if self.kind is LawKind.SPIDER_OCCUPATION:
-            return _spider_pdf_pair(z, w, self.n)
-        raise ParameterDomainError(f"{self.kind.value} is not supported on [0, 1]")
+        if self.kind is LawKind.STABLE_RATIO_POWER:
+            raise ParameterDomainError(f"{self.kind.value} is not supported on [0, 1]")
+        return _lamperti_pdf_pair(z, w, *self._lamperti())
 
     def label(self) -> str:
         if self.kind in _NEEDS_MU:

@@ -1,9 +1,10 @@
 """Exact samplers for the laws studied by the package.
 
-All samplers are pure functions of their parameters and an :class:`RngStream`;
-drawing is vectorised, and the probability-zero degenerate outcomes of the
-underlying representations (an exactly-zero normal, a non-finite ratio) are
-redrawn and counted through :class:`BatchMeta`.
+All samplers are pure functions of their parameters, an :class:`RngStream`
+and a sample size; drawing is vectorised, and the probability-zero
+degenerate outcomes of the underlying representations (an exactly-zero
+uniform, exponential or normal) are redrawn and counted through
+:class:`BatchMeta`.
 
 The one-sided stable(mu) variable is generated by Kanter's representation
 
@@ -12,16 +13,24 @@ The one-sided stable(mu) variable is generated by Kanter's representation
 
 with V uniform on (0, pi) and E a unit exponential, which realises the
 Laplace transform E[exp(-lambda S)] = exp(-lambda**mu) exactly and without
-rejection.  The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard
-normal N.
+rejection.  One kernel returns log(a(V) / E), and every stable-based law is
+a function of it: S itself, the ratio X = S/S', its power X**mu, and
+Lamperti's law A = expit(-log X + log(p/q)/mu), whose named points are the
+ratio A = S'/(S'+S) (p = 1/2) and the n-ray spider marginal (mu = 1/2,
+p = 1/n).  X**mu is formed from the logs, so it is finite for every mu.  An
+S or X beyond the float range is kept as its correctly rounded value, inf
+or 0.0, just as A keeps 0.0 and 1.0; nothing that overflows is redrawn.
+The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard normal N.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterDomainError
+from .laws import _validate_mu, _validate_p, _validate_rays
 from .output import sidecar_path, write_csv, write_json
 from .rng import RngStream
 
@@ -33,34 +42,7 @@ class StableParams:
     mu: float
 
     def __post_init__(self):
-        mu = float(self.mu)
-        if not 0.0 < mu < 1.0:
-            raise ParameterDomainError(f"stable exponent must lie in (0, 1): {self.mu}")
-        object.__setattr__(self, "mu", mu)
-
-
-@dataclass(frozen=True)
-class SimplexVector:
-    """Occupation fractions: n >= 2 entries in [0, 1] summing to 1."""
-
-    fractions: tuple[float, ...]
-
-    def __post_init__(self):
-        frac = tuple(float(f) for f in self.fractions)
-        if len(frac) < 2:
-            raise ParameterDomainError(f"need at least 2 fractions, got {len(frac)}")
-        arr = np.asarray(frac)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ParameterDomainError("fractions must lie in [0, 1]")
-        if abs(arr.sum() - 1.0) > 1e-12:
-            raise ParameterDomainError(f"fractions sum to {arr.sum()!r}, not 1")
-        object.__setattr__(self, "fractions", frac)
-
-    def __len__(self):
-        return len(self.fractions)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.fractions)
+        object.__setattr__(self, "mu", _validate_mu(self.mu))
 
 
 @dataclass
@@ -70,14 +52,9 @@ class BatchMeta:
     redraws: int = 0
 
 
-def _bump(meta: BatchMeta | None, count: int):
-    if meta is not None and count:
-        meta.redraws += int(count)
-
-
 def _clean(draw, ok, size, meta: BatchMeta | None, max_rounds=64):
     """Draw ``size`` values, redrawing entries rejected by ``ok``."""
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise ParameterDomainError(f"sample size must be nonnegative: {size}")
     values = draw(n)
@@ -85,13 +62,14 @@ def _clean(draw, ok, size, meta: BatchMeta | None, max_rounds=64):
     rounds = 0
     while np.any(bad):
         k = int(bad.sum())
-        _bump(meta, k)
+        if meta is not None:
+            meta.redraws += k
         values[bad] = draw(k)
         bad = ~ok(values)
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("sampler failed to produce finite draws")
-    return float(values[0]) if size is None else values
+    return values
 
 
 def _finite_positive(values):
@@ -102,10 +80,12 @@ def _finite_positive(values):
 # stable laws and their ratios
 # ---------------------------------------------------------------------------
 
-def sample_positive_stable(params: StableParams, rng: RngStream, size=None,
-                           meta: BatchMeta | None = None):
-    """One-sided stable(mu) draw(s) with E[exp(-lam S)] = exp(-lam**mu)."""
-    mu = params.mu
+def _kanter(mu, rng: RngStream, size, meta: BatchMeta | None):
+    """log(a(V) / E), so that log S = (1 - mu) / mu times the result.
+
+    Only an exact-zero uniform or exponential gives a non-finite log; those
+    are redrawn.
+    """
 
     def draw(k):
         v = rng.uniform(k, 0.0, np.pi)
@@ -116,13 +96,30 @@ def sample_positive_stable(params: StableParams, rng: RngStream, size=None,
                 + (1.0 - mu) * np.log(np.sin((1.0 - mu) * v))
                 - np.log(np.sin(v))
             ) / (1.0 - mu)
-            return np.exp((1.0 - mu) / mu * (log_a - np.log(e)))
+            return log_a - np.log(e)
 
-    return _clean(draw, _finite_positive, size, meta)
+    return _clean(draw, np.isfinite, size, meta)
 
 
-def sample_stable_half(rng: RngStream, size=None, meta: BatchMeta | None = None):
-    """Stable(1/2) draw(s) as 1 / (2 N**2); Laplace transform exp(-sqrt(lam))."""
+def _log_ratio(mu, rng: RngStream, size, meta: BatchMeta | None):
+    """The kernel's log for S minus that for S', drawn in that order, so that
+    log(S / S') = (1 - mu) / mu times the result.  It is finite for every mu,
+    even where log S itself is not a float."""
+    log_s = _kanter(mu, rng, size, meta)
+    return log_s - _kanter(mu, rng, size, meta)
+
+
+def sample_positive_stable(params: StableParams, rng: RngStream, size,
+                           meta: BatchMeta | None = None):
+    """One-sided stable(mu) draws with E[exp(-lam S)] = exp(-lam**mu)."""
+    mu = params.mu
+    log_s = (1.0 - mu) / mu * _kanter(mu, rng, size, meta)
+    with np.errstate(over="ignore"):
+        return np.exp(log_s)
+
+
+def sample_stable_half(rng: RngStream, size, meta: BatchMeta | None = None):
+    """Stable(1/2) draws as 1 / (2 N**2); Laplace transform exp(-sqrt(lam))."""
 
     def draw(k):
         n = rng.normal(k)
@@ -132,16 +129,19 @@ def sample_stable_half(rng: RngStream, size=None, meta: BatchMeta | None = None)
     return _clean(draw, _finite_positive, size, meta)
 
 
-def sample_ratio_X(params: StableParams, rng: RngStream, size=None,
+def sample_ratio_X(params: StableParams, rng: RngStream, size,
                    meta: BatchMeta | None = None):
     """Ratio X = S / S' of two independent stable(mu) draws."""
+    mu = params.mu
+    log_x = (1.0 - mu) / mu * _log_ratio(mu, rng, size, meta)
+    with np.errstate(over="ignore"):
+        return np.exp(log_x)
 
-    def draw(k):
-        num = sample_positive_stable(params, rng, k, meta)
-        den = sample_positive_stable(params, rng, k, meta)
-        return num / den
 
-    return _clean(draw, _finite_positive, size, meta)
+def sample_ratio_power(params: StableParams, rng: RngStream, size,
+                       meta: BatchMeta | None = None):
+    """Y = X**mu = (S / S')**mu, the law of :func:`~spiderlaw.laws.ratio_power_pdf`."""
+    return np.exp((1.0 - params.mu) * _log_ratio(params.mu, rng, size, meta))
 
 
 def _expit(x):
@@ -150,47 +150,38 @@ def _expit(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sample_ratio_A(params: StableParams, rng: RngStream, size=None,
+def sample_lamperti(mu, p, rng: RngStream, size, meta: BatchMeta | None = None):
+    """Lamperti's law: A = p^(1/mu) S' / (p^(1/mu) S' + q^(1/mu) S), q = 1 - p.
+
+    Formed in log space as expit((log(p/q) - log(X**mu)) / mu), so both tails
+    round alike; a draw that rounds to 0.0 or 1.0 is a correct float result
+    and is kept.
+    """
+    mu, p = _validate_mu(mu), _validate_p(p)
+    log_y = (1.0 - mu) * _log_ratio(mu, rng, size, meta)  # log(X**mu)
+    with np.errstate(over="ignore"):
+        return _expit((math.log(p / (1.0 - p)) - log_y) / mu)
+
+
+def sample_ratio_A(params: StableParams, rng: RngStream, size,
                    meta: BatchMeta | None = None):
-    """A = S' / (S' + S) = 1 / (1 + X) for independent stable(mu) S, S'.
-
-    Formed in log space as expit(log S' - log S), so the two tails round
-    alike; a draw that rounds to 0.0 or 1.0 is a correct float result and is
-    kept.
-    """
-
-    def draw(k):
-        s = sample_positive_stable(params, rng, k, meta)
-        s_prime = sample_positive_stable(params, rng, k, meta)
-        return _expit(np.log(s_prime) - np.log(s))
-
-    return _clean(draw, np.isfinite, size, meta)
+    """A = S' / (S' + S) = 1 / (1 + X): Lamperti's law at p = 1/2."""
+    return sample_lamperti(params.mu, 0.5, rng, size, meta)
 
 
-def sample_occupation_exact(n: int, rng: RngStream, size=None,
+def sample_occupation_exact(n: int, rng: RngStream, size,
                             meta: BatchMeta | None = None):
-    """Occupation-fraction vector(s): n iid stable(1/2) draws, normalised.
-
-    Returns a :class:`SimplexVector` when ``size`` is None, otherwise an
-    array of shape (size, n) whose rows each sum to 1.
-    """
-    if int(n) != n or int(n) < 2:
-        raise ParameterDomainError(f"ray count must be an integer >= 2: {n}")
-    n = int(n)
-    rows = 1 if size is None else int(size)
-    t = sample_stable_half(rng, rows * n, meta).reshape(rows, n)
-    fractions = t / t.sum(axis=1, keepdims=True)
-    if size is None:
-        return SimplexVector(tuple(fractions[0]))
-    return fractions
+    """Occupation-fraction vectors: rows of n iid stable(1/2) draws,
+    normalised, as an array of shape (size, n) whose rows each sum to 1."""
+    n = _validate_rays(n)
+    t = sample_stable_half(rng, int(size) * n, meta).reshape(int(size), n)
+    return t / t.sum(axis=1, keepdims=True)
 
 
-def sample_cauchy_spider_marginal(n: int, rng: RngStream, size=None,
+def sample_cauchy_spider_marginal(n: int, rng: RngStream, size,
                                   meta: BatchMeta | None = None):
     """One occupation fraction via its Cauchy form 1 / (1 + (n-1)^2 C^2)."""
-    if int(n) != n or int(n) < 2:
-        raise ParameterDomainError(f"ray count must be an integer >= 2: {n}")
-    n = int(n)
+    n = _validate_rays(n)
 
     def draw(k):
         c = rng.cauchy(k)
@@ -203,9 +194,9 @@ def sample_cauchy_spider_marginal(n: int, rng: RngStream, size=None,
 _ARCSINE_METHODS = ("cosine", "normal_ratio", "stable_ratio", "cauchy")
 
 
-def sample_arcsine(rng: RngStream, size=None, method="cosine",
+def sample_arcsine(rng: RngStream, size, method="cosine",
                    meta: BatchMeta | None = None):
-    """Arc-sine draw(s) by any of the four classical representations.
+    """Arc-sine draws by any of the four classical representations.
 
     ``cosine``       cos(U)^2 with U uniform on [0, 2 pi)
     ``normal_ratio`` N^2 / (N^2 + N'^2)

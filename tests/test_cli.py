@@ -114,9 +114,23 @@ def test_out_under_a_regular_file(tmp_path, monkeypatch, capsys, argv, work):
      "spiderlaw.cli.sample_arcsine"),
     (["verify", "--suite", "densities", "--out", "r.jsonl"], "r.jsonl",
      "spiderlaw.cli.run_suite"),
-], ids=["sample", "verify"])
+    (["sample", "--law", "arcsine", "--count", "10", "--out", "x"], "x.json",
+     "spiderlaw.cli.sample_arcsine"),
+    (["sample", "--law", "arcsine", "--count", "10", "--out", "x"],
+     "x.manifest.json", "spiderlaw.cli.sample_arcsine"),
+    (["sample", "--law", "spider-walk", "--n", "3", "--steps", "100", "--count", "4",
+      "--out", "x"], "x.run.json", "spiderlaw.cli.run_walk_batch"),
+    (["figure-ratio", "--mu", "0.5", "--out", "f"], "f_ratio_a_mu0.5.csv",
+     "spiderlaw.cli.build_density_curve"),
+    (["figure-ratio", "--mu", "0.5", "--out", "f"], "f_ratio_a_mu0.5.json",
+     "spiderlaw.cli.build_density_curve"),
+    (["figure-spider", "--n", "3", "--out", "f"], "f.manifest.json",
+     "spiderlaw.cli.build_density_curve"),
+], ids=["sample", "verify", "sample-sidecar", "sample-manifest", "walk-run-manifest",
+        "figure-csv", "figure-sidecar", "figure-manifest"])
 def test_out_naming_a_directory(tmp_path, monkeypatch, capsys, argv, target, work):
-    # the target file is an existing directory: exit 2 before any work runs
+    # a declared output file is an existing directory: exit 2 before any
+    # work runs, and no CSV is written
     (tmp_path / target).mkdir()
 
     def no_work(*args, **kwargs):
@@ -126,6 +140,18 @@ def test_out_naming_a_directory(tmp_path, monkeypatch, capsys, argv, target, wor
     argv[-1] = str(tmp_path / argv[-1])
     assert main(argv) == 2
     assert str(tmp_path / target) in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.is_file() and p.suffix == ".csv"]
+
+
+def test_sample_ratio_power_at_tiny_mu_redraws_nothing(tmp_path):
+    # X**mu is formed from the log ratio, so no draw overflows at mu = 0.005
+    out = tmp_path / "rp"
+    assert main(["sample", "--law", "ratio-power", "--mu", "0.005", "--count", "100000",
+                 "--seed", "1", "--out", str(out)]) == 0
+    sidecar = json.loads((tmp_path / "rp.json").read_text())
+    assert sidecar["redraw_count"] == 0
+    _, rows = _read_csv(tmp_path / "rp.csv")
+    assert np.isfinite(rows).all() and (rows > 0).all()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -113,19 +113,19 @@ def test_mc_transform_check_rejects_nonfinite():
 
 def test_transform_suite_draw_budget(monkeypatch):
     # per mu one stable batch and one ratio batch (two stable batches):
-    # 3 mu x 3 batches x 1e6 = 9e6 stable draws for 30 reports of 1e6 each
+    # 3 mu x 3 batches x 1e6 = 9e6 Kanter draws for 30 reports of 1e6 each,
+    # counted at the kernel that every stable-based sampler draws through
     import spiderlaw.samplers as samplers
     import spiderlaw.suites as suites
 
     drawn = []
-    real = samplers.sample_positive_stable
+    real = samplers._kanter
 
-    def counting(params, rng, size=None, meta=None):
+    def counting(mu, rng, size, meta):
         drawn.append(size)
-        return real(params, rng, size, meta)
+        return real(mu, rng, size, meta)
 
-    monkeypatch.setattr(samplers, "sample_positive_stable", counting)
-    monkeypatch.setattr(suites, "sample_positive_stable", counting)
+    monkeypatch.setattr(samplers, "_kanter", counting)
     reports = suites.transform_suite(3)
     assert len(reports) == 30
     assert all(r.n1 == 1_000_000 and r.seed == 3 for r in reports)

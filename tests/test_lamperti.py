@@ -1,0 +1,124 @@
+"""Properties of Lamperti's (mu, p) law over its whole parameter domain.
+
+Hypothesis draws (mu, p) from the open unit square and n from [2, 32767],
+deterministically (``derandomize=True``) and without an example database,
+so every run checks the same points.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+
+from spiderlaw import (
+    RngStream,
+    ks_one_sample,
+    ks_two_sample,
+    lamperti_cdf,
+    lamperti_pdf,
+    sample_cauchy_spider_marginal,
+    sample_lamperti,
+    spider_cdf,
+    spider_pdf,
+)
+from spiderlaw.laws import _lamperti_pdf_pair
+from spiderlaw.quadrature import QuadratureError, integrate_unit_interval_pair
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None)
+UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+RAYS = st.integers(2, 32767)
+GRID = np.arange(1, 1000) / 1000.0
+
+
+def _band(hits, expected, band=4.0):
+    se = math.sqrt(max(expected * (1.0 - expected), 1e-300) / hits.size)
+    return abs(hits.mean() - expected) <= band * se + 1.0 / hits.size
+
+
+@PROPERTY
+@given(mu=UNIT, p=UNIT, z=st.lists(UNIT, min_size=1, max_size=20))
+def test_pdf_is_nonnegative(mu, p, z):
+    for points in (np.asarray(z), GRID):
+        dens = lamperti_pdf(points, mu, p)
+        assert not np.isnan(dens).any()
+        assert (dens >= 0.0).all()
+
+
+@PROPERTY
+@given(mu=UNIT, p=UNIT, z=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_cdf_is_monotone_from_zero_to_one(mu, p, z):
+    points = np.sort(np.concatenate([[0.0, 1.0], z, GRID]))
+    cdf = lamperti_cdf(points, mu, p)
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert ((cdf >= 0.0) & (cdf <= 1.0)).all()
+    assert (np.diff(cdf) >= 0.0).all()
+
+
+@PROPERTY
+@given(z=UNIT, n=RAYS)
+def test_spider_is_the_point_half_one_over_n(z, n):
+    # the public spider names are this parameter map, and both agree with
+    # the spider law's own closed forms
+    pdf = lamperti_pdf(z, 0.5, 1.0 / n)
+    cdf = lamperti_cdf(z, 0.5, 1.0 / n)
+    assert pdf == spider_pdf(z, n) and cdf == spider_cdf(z, n)
+    w = 1.0 - z
+    direct = 1.0 / (math.pi * math.sqrt(z * w) * ((n - 1) * z + w / (n - 1)))
+    assert math.isclose(pdf, direct, rel_tol=1e-14)
+    # (2/pi) arctan((n-1) sqrt(z/(1-z))) has no cancellation near z = 0
+    direct = (2.0 / math.pi) * math.atan((n - 1) * math.sqrt(z / w))
+    assert math.isclose(cdf, direct, rel_tol=1e-14, abs_tol=2.3e-16)
+
+
+def _quadrature_resolves(mu, p):
+    """Where the quadrature is known to reach the whole law.  Outside it the
+    law puts mass where z or 1 - z is below the float range, its density
+    overflows at subnormal z (mu below about 0.05), its spike near mu = 1 is
+    narrower than the panels can find, or the first panels' nodes see none
+    of a mass packed near an end (|log(p/q)| large)."""
+    return 0.05 <= mu <= 0.9999 and abs(math.log(p / (1.0 - p))) <= 10.0
+
+
+@PROPERTY
+@given(mu=UNIT, p=UNIT)
+def test_quadrature_normalises_the_pdf(mu, p):
+    try:
+        total = integrate_unit_interval_pair(
+            lambda z, w: _lamperti_pdf_pair(z, w, mu, p), 0.0, 1.0)
+    except QuadratureError:
+        total = math.nan
+    note(f"integral {total!r}")
+    if _quadrature_resolves(mu, p):
+        assert abs(total - 1.0) <= 1e-8
+
+
+@settings(PROPERTY, max_examples=12)
+@given(mu=UNIT, p=UNIT)
+def test_sampler_matches_the_closed_form(mu, p):
+    # KS over the draws inside [2^-20, 1 - 2^-20], against the CDF
+    # conditioned on that window; draws outside it may round to 0.0 or
+    # 1.0, so the mass on either side is checked by a 4-sigma band.  KS
+    # assumes a continuous law: where the law is narrower than a few float
+    # spacings (mu within ulps of 1, all mass at A = p) the draws repeat
+    # and only the bands apply
+    a = sample_lamperti(mu, p, RngStream(23, 0), 20_000)
+    lo, hi = 2.0 ** -20, 1.0 - 2.0 ** -20
+    f_lo, f_hi = lamperti_cdf(lo, mu, p), lamperti_cdf(hi, mu, p)
+    body = a[(a >= lo) & (a <= hi)]
+    note(f"body {body.size} ({np.unique(body).size} distinct), F(lo) {f_lo!r}, "
+         f"F(hi) {f_hi!r}")
+    if body.size >= 100 and np.unique(body).size == body.size:
+        report = ks_one_sample(
+            body, lambda z: (lamperti_cdf(z, mu, p) - f_lo) / (f_hi - f_lo), seed=23)
+        assert report.p_value >= 1e-3, report.p_value
+    assert _band(a < lo, f_lo)
+    assert _band(a > hi, 1.0 - f_hi)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(n=RAYS)
+def test_spider_point_matches_the_cauchy_sampler(n):
+    a = sample_lamperti(0.5, 1.0 / n, RngStream(29, 0), 20_000)
+    b = sample_cauchy_spider_marginal(n, RngStream(29, 1), 20_000)
+    report = ks_two_sample(a, b, seed=29)
+    assert report.p_value >= 1e-3, report.p_value

@@ -14,6 +14,7 @@ from spiderlaw import (
     density_mean,
     fractional_moment,
     integrate_density,
+    lamperti_cdf,
     mellin_transform,
     ratio_A_cdf,
     ratio_A_pdf,
@@ -80,6 +81,17 @@ def test_ratio_power_cdf_matches_quadrature(mu):
     for y in np.linspace(0.05, 8.0, 50):
         by_quad = integrate_density(law, 0.0, float(y))
         assert ratio_power_cdf(y, mu) == pytest.approx(by_quad, abs=1e-8)
+
+
+@pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-12, 1e-6, 2e-5, 1e-3])
+def test_ratio_power_cdf_keeps_its_precision_as_mu_vanishes(mu):
+    # F(1) = 1/2 at every mu, since X and 1/X share a law; the arctangent
+    # difference in the closed form cancels as mu -> 0, where F(y) -> y/(1+y)
+    assert ratio_power_cdf(1.0, mu) == pytest.approx(0.5, abs=1e-10)
+    if mu <= 1e-6:
+        # Lamperti's law tends to Bernoulli(p): P(A <= 1/2) -> 1 - p
+        assert ratio_power_cdf(3.0, mu) == pytest.approx(0.75, abs=1e-10)
+        assert lamperti_cdf(0.5, mu, 0.2) == pytest.approx(0.8, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

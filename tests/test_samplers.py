@@ -8,14 +8,15 @@ from spiderlaw import (
     BatchMeta,
     ParameterDomainError,
     RngStream,
-    SimplexVector,
     StableParams,
     arcsine_cdf,
     ks_one_sample,
     ks_two_sample,
     ratio_A_cdf,
+    ratio_power_cdf,
     sample_arcsine,
     sample_cauchy_spider_marginal,
+    sample_lamperti,
     sample_occupation_exact,
     sample_positive_stable,
     sample_ratio_A,
@@ -39,16 +40,6 @@ def _mc_band(values, target, band=4.0):
 def test_stable_params_domain(mu):
     with pytest.raises(ParameterDomainError):
         StableParams(mu)
-
-
-def test_simplex_vector_invariants():
-    SimplexVector((0.25, 0.75))
-    with pytest.raises(ParameterDomainError):
-        SimplexVector((1.0,))
-    with pytest.raises(ParameterDomainError):
-        SimplexVector((0.6, 0.6))
-    with pytest.raises(ParameterDomainError):
-        SimplexVector((-0.1, 1.1))
 
 
 def test_determinism_bitwise():
@@ -179,6 +170,33 @@ def test_ratio_A_matches_closed_form_at_small_mu(mu):
     assert _mc_band((a > z0).astype(float), 1.0 - f0)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_ratio_power_matches_closed_form_at_tiny_mu(seed):
+    # at mu = 0.005 about 6% of the ratios X lie beyond the float range and
+    # are kept as inf or 0.0; those atoms make a one-sample KS invalid, so KS
+    # applies to the draws whose X is a normal float (X in [2^-1000, 2^1000]),
+    # and the mass on either side of that window is checked by a 4-sigma band
+    mu = 0.005
+    meta = BatchMeta()
+    y = sample_ratio_X(StableParams(mu), RngStream(seed, 0), 1_000_000, meta=meta) ** mu
+    lo, hi = 2.0 ** (-1000 * mu), 2.0 ** (1000 * mu)
+    f_lo, f_hi = ratio_power_cdf(lo, mu), ratio_power_cdf(hi, mu)
+    body = y[(y >= lo) & (y <= hi)]
+    report = ks_one_sample(body, lambda v: (ratio_power_cdf(v, mu) - f_lo) / (f_hi - f_lo),
+                           seed=seed)
+    assert report.p_value >= 1e-3, report.p_value
+    assert _mc_band((y < lo).astype(float), f_lo)
+    assert _mc_band((y > hi).astype(float), 1.0 - f_hi)
+    assert meta.redraws == 0
+
+
+def test_lamperti_at_half_is_ratio_A_bitwise():
+    for mu in (0.005, 0.3, 0.7):
+        a = sample_ratio_A(StableParams(mu), RngStream(17, 0), 10_000)
+        b = sample_lamperti(mu, 0.5, RngStream(17, 0), 10_000)
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # occupation vector and its Cauchy marginal
 # ---------------------------------------------------------------------------
@@ -187,10 +205,10 @@ def test_occupation_exact_simplex():
     rows = sample_occupation_exact(5, RngStream(71, 0), 20_000)
     assert rows.shape == (20_000, 5)
     assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
-    one = sample_occupation_exact(3, RngStream(71, 1))
-    assert isinstance(one, SimplexVector)
+    one = sample_occupation_exact(3, RngStream(71, 1), 1)
+    assert one.shape == (1, 3) and abs(one.sum() - 1.0) <= 1e-12
     with pytest.raises(ParameterDomainError):
-        sample_occupation_exact(1, RngStream(71, 2))
+        sample_occupation_exact(1, RngStream(71, 2), 1)
 
 
 def test_occupation_exact_two_rays_is_arcsine():
@@ -260,8 +278,13 @@ def test_clean_redraws_degenerate_values():
     assert meta.redraws == 1
 
 
-def test_clean_scalar_mode():
-    assert _clean(lambda k: np.full(k, 2.5), np.isfinite, None, None) == 2.5
+def test_samplers_require_a_size():
+    # there is no scalar mode: a size is a required positional argument
+    assert _clean(lambda k: np.full(k, 2.5), np.isfinite, 1, None).tolist() == [2.5]
+    with pytest.raises(TypeError):
+        sample_ratio_A(StableParams(0.5), RngStream(0))
+    with pytest.raises(TypeError):
+        sample_occupation_exact(3, RngStream(0))
 
 
 def test_save_sample_batch_roundtrip(tmp_path):
