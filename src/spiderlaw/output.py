@@ -4,7 +4,11 @@ CSV follows the ``csv.writer`` default dialect: fields joined by ``,``, lines
 ended by ``\\r\\n``, and no field that needs quoting.  A field is ``str`` of
 the ``.tolist()`` value, which for a float is its shortest repr, so floats
 read back bit-exact; flags are passed as strings and a masked entry is an
-empty field.  JSON is indented by two, with sorted keys and a final newline.
+empty field.  Rows are formatted in chunks of ``_CHUNK_ROWS``, one task each
+on the process's usable CPUs (``parallel.ordered_map``), and written in order
+as they arrive, so no table is held as strings and the bytes do not depend
+on the CPU count.  JSON is indented by two, with sorted keys and a final
+newline.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UsageError
+from .parallel import ordered_map
 
 _CHUNK_ROWS = 1 << 14  # rows formatted at a time, so no table is held as strings
 
@@ -27,11 +32,15 @@ def _fields(column) -> list[str]:
 
 def write_csv(path, header, columns):
     """Write a header row, then one row per index of the equal-length columns."""
+    def chunk(k):
+        lo = k * _CHUNK_ROWS
+        cells = [_fields(column[lo:lo + _CHUNK_ROWS]) for column in columns]
+        return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+
     with open(str(path), "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            cells = [_fields(column[lo:lo + _CHUNK_ROWS]) for column in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        for text in ordered_map(chunk, -(-len(columns[0]) // _CHUNK_ROWS)):
+            fh.write(text)
 
 
 def write_json(path, payload):

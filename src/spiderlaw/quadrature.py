@@ -40,7 +40,8 @@ _G7K15 = (
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement exhausted its panel budget before converging."""
+    """Adaptive refinement exhausted its panel budget before converging, or
+    the integral it reached is not finite."""
 
 
 def _gk_panel(f, a, b):
@@ -84,7 +85,11 @@ def adaptive_quadrature(f, a, b, local_tol=1e-10, max_panels=16384):
         heapq.heappush(heap, (-le, pa, pm, lv))
         heapq.heappush(heap, (-re, pm, pb, rv))
         panels += 1
-    return math.fsum(item[3] for item in heap)
+    total = math.fsum(item[3] for item in heap)
+    if not math.isfinite(total):
+        # an overflowing panel has a NaN error estimate, which stops refinement
+        raise QuadratureError(f"non-finite integral {total} over [{a}, {b}]")
+    return total
 
 
 def integrate_unit_interval_pair(f, a, b, local_tol=1e-10, max_panels=16384):

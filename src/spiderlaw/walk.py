@@ -31,7 +31,8 @@ and the rule.  Round r of path p is Philox4x64-10 (Salmon et al., SC'11)
 keyed by ``(seed, composite_stream_id(run_id, p))`` at counter ``(0, 0, 0,
 r)``: a round advances only the lowest word, so rounds never overlap.  One
 Philox serves a group of paths, re-keyed with an empty buffer before each
-draw, so path p is row p of a batch of any size, bit for bit.
+draw, so path p is row p of a batch of any size, bit for bit, and groups
+can run in any process.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, UsageError
 from .output import write_csv, write_json
+from .parallel import ordered_map
 from .rng import composite_stream_id
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
@@ -373,10 +375,20 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> di
 
 
 def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dict:
-    """Stop ``config.paths`` paths on their own keys, a group at a time."""
+    """Stop ``config.paths`` paths on their own keys, a group at a time.
+
+    Each group is one task of ``parallel.ordered_map`` on the process's
+    usable CPUs; a path's draws depend only on its key, so the columns,
+    concatenated in group order, do not depend on the CPU count.
+    """
     group = _ROUND_ELEMENTS // _block_size(config, rule)
-    parts = [_resolve(config, rule, run_id, range(lo, min(lo + group, config.paths)))
-             for lo in range(0, config.paths, group)]
+    _return_tail_table()  # built once here, not once per worker
+
+    def resolve_group(k):
+        lo = k * group
+        return _resolve(config, rule, run_id, range(lo, min(lo + group, config.paths)))
+
+    parts = list(ordered_map(resolve_group, -(-config.paths // group)))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy import integrate as sp_integrate
 
-from spiderlaw import ParameterDomainError
+from spiderlaw import LawKind, LawSpec, ParameterDomainError, density_mean, integrate_density
 from spiderlaw.quadrature import (
     QuadratureError,
     adaptive_quadrature,
@@ -58,3 +58,17 @@ def test_budget_exhaustion_raises():
     f = lambda z: z ** (-0.999)  # barely integrable; tiny budget must fail
     with pytest.raises(QuadratureError):
         adaptive_quadrature(f, 1e-300, 1.0, local_tol=1e-12, max_panels=8)
+
+
+def test_non_finite_integral_raises():
+    # an overflowing panel has a NaN error estimate, which used to stop
+    # refinement and let inf through as the value
+    with pytest.raises(QuadratureError, match="non-finite"):
+        adaptive_quadrature(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        adaptive_quadrature(lambda x: 1.0 / x if x > 0.0 else 0.0, 0.0, 1e-310)
+    law = LawSpec(LawKind.STABLE_RATIO_A, mu=0.02)  # the density overflows near 0
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_density(law, 0.0, 1.0)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        density_mean(law)
