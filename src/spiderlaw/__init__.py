@@ -49,7 +49,6 @@ from .laws import (
 from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
-    StableParams,
     sample_arcsine,
     sample_cauchy_spider_marginal,
     sample_occupation_exact,

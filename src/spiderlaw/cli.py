@@ -30,7 +30,6 @@ from .output import prepare_out, sidecar_path, write_json
 from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
-    StableParams,
     sample_arcsine,
     sample_cauchy_spider_marginal,
     sample_occupation_exact,
@@ -101,10 +100,10 @@ _LAWS = (
 )
 
 
-def _require_mu(args) -> StableParams:
+def _require_mu(args) -> float:
     if args.mu is None:
         raise UsageError(f"--law {args.law} requires --mu")
-    return StableParams(args.mu)
+    return args.mu
 
 
 def _require_n(args) -> int:
@@ -142,6 +141,8 @@ def cmd_sample(args) -> int:
         n = _require_n(args)
         if args.steps is None:
             raise UsageError("--law spider-walk requires --steps")
+        if args.steps < 1000:  # a coarser lattice is too far from the limit laws
+            raise UsageError(f"--law spider-walk needs --steps >= 1000: {args.steps}")
         config = SpiderConfig(n=n, steps=args.steps, paths=count, seed=seed)
         run_walk_batch(config, None, csv_path, json_path,
                        record_wall_time=not args.deterministic)
@@ -154,20 +155,20 @@ def cmd_sample(args) -> int:
         values = sample_arcsine(rng, count, meta=meta)
         law_name = "arcsine"
     elif args.law == "stable":
-        params = _require_mu(args)
-        values = sample_positive_stable(params, rng, count, meta=meta)
-        law_name, parameters = "stable", {"mu": params.mu}
+        mu = _require_mu(args)
+        values = sample_positive_stable(mu, rng, count, meta=meta)
+        law_name, parameters = "stable", {"mu": mu}
     elif args.law == "stable-half":
         values = sample_stable_half(rng, count, meta=meta)
         law_name = "stable_half"
     elif args.law == "ratio-power":
-        params = _require_mu(args)
-        values = sample_ratio_power(params, rng, count, meta=meta)
-        law_name, parameters = "ratio_power", {"mu": params.mu}
+        mu = _require_mu(args)
+        values = sample_ratio_power(mu, rng, count, meta=meta)
+        law_name, parameters = "ratio_power", {"mu": mu}
     elif args.law == "ratio-a":
-        params = _require_mu(args)
-        values = sample_ratio_A(params, rng, count, meta=meta)
-        law_name, parameters = "ratio_a", {"mu": params.mu}
+        mu = _require_mu(args)
+        values = sample_ratio_A(mu, rng, count, meta=meta)
+        law_name, parameters = "ratio_a", {"mu": mu}
     elif args.law == "occupation":
         n = _require_n(args)
         values = sample_occupation_exact(n, rng, count, meta=meta)

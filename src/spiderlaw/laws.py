@@ -12,8 +12,16 @@ Three families of laws are covered:
   at (1/2, 1/n); :func:`ratio_A_pdf` and :func:`spider_pdf` (and their CDFs)
   are these parameter maps.
 
-The distribution functions all reduce to arctangent expressions; each one is
-cross-checked against quadrature of its density in the test suite.
+All of them are images of one law: L = mu log(S/S') = log(X**mu), which the
+samplers draw, is symmetric and smooth with density
+
+    g_mu(L) = sin(pi mu) / (pi mu) / (2 cosh L + 2 cos(pi mu)),
+
+Y = X**mu = e^L and A = expit((log(p/q) - L) / mu).  The pdfs evaluate g_mu
+from their powers; :func:`integrate_density` and :func:`density_mean`
+integrate in L, where no law has an endpoint singularity, every tail decays
+like e^-|L| and p only moves the interval.  The distribution functions
+reduce to arctangents, each cross-checked against quadrature in the tests.
 """
 from __future__ import annotations
 
@@ -25,11 +33,12 @@ import numpy as np
 
 from .errors import ParameterDomainError, UsageError
 from .gammafn import gamma
-from .quadrature import integrate_half_line, integrate_unit_interval_pair
+from .quadrature import integrate_half_line
 
 
 _FLOAT_MAX = np.finfo(float).max
 _SMALL_MU = 1e-5  # below it ratio_power_cdf uses its mu -> 0 limit
+_TINY_Y = 2.0 ** -600  # below it ratio_power_pdf is its y = 0 value to the last bit
 
 
 def _validate_mu(mu):
@@ -68,6 +77,85 @@ def _scalar_like(x, arr):
 
 
 # ---------------------------------------------------------------------------
+# the law of L = mu log(S/S'), which every other law here is an image of
+# ---------------------------------------------------------------------------
+
+def _sin_cos(mu):
+    """sin(pi mu) and cos(pi mu / 2), from 1 - mu when mu > 1/2, where both
+    are small and pi mu would carry its rounding error into them."""
+    if mu > 0.5:
+        return math.sin(math.pi * (1.0 - mu)), math.sin(0.5 * math.pi * (1.0 - mu))
+    return math.sin(math.pi * mu), math.cos(0.5 * math.pi * mu)
+
+
+def _log_ratio_density(d, t, mu):
+    """g_mu at |L| = -log t from t = e^-|L| and d = 1 - t, given without
+    cancellation.  Its bracket 2 cosh L + 2 cos(pi mu) is the sum of
+    d^2 / t and 4 cos^2(pi mu / 2), so nothing cancels at the mode as
+    mu -> 1 and nothing overflows in either tail."""
+    sin, cos = _sin_cos(mu)
+    return sin / (math.pi * mu) * t / (d * d + 4.0 * cos * cos * t)
+
+
+def _power_ratio_density(a, b, mu):
+    """g_mu at L = log(a / b) for arrays a, b > 0; a - b is exact where they
+    are close, and swapping them repeats the same float operations."""
+    hi = np.maximum(a, b)
+    return _log_ratio_density((a - b) / hi, np.minimum(a, b) / hi, mu)
+
+
+def _g_mu(x, mu):
+    """g_mu at a float x."""
+    return _log_ratio_density(-math.expm1(-abs(x)), math.exp(-abs(x)), mu)
+
+
+def _expit(x):
+    """1 / (1 + exp(-x)), without overflow for either sign of x."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _arcsine_log_ratio_pdf(x):
+    """The arc-sine law's own density in L, 2 sqrt(z w) / pi on the exact pair
+    z = expit(-2L), w = expit(2L), so that its normalisation checks g_mu."""
+    return 2.0 * math.sqrt(_expit(-2.0 * x) * _expit(2.0 * x)) / math.pi
+
+
+def _log_ratio_at(z, mu, p):
+    """The L at which Lamperti's A equals z: log(p/q) + mu log((1 - z) / z)."""
+    with np.errstate(divide="ignore"):  # +-inf at z = 0 and 1
+        return math.log(p / (1.0 - p)) + mu * (np.log1p(-z) - np.log(z))
+
+
+def _integrate_log_ratio(f, mu, lo, hi, cuts=(), local_tol=1e-10):
+    """Integral of f over [lo, hi] in L, cut at the mode 0, at each cut and
+    at +-w 4^k below 1, w = 2 cos(pi mu / 2) being about the half-width of
+    g_mu's mode, a spike as mu -> 1.  Each piece is a half-line integral
+    anchored at a cut (a finite piece is halved), so every cut sits at t = 0,
+    where bisection digs deepest; a step there narrower than the first
+    nodes is missed by equal and opposite amounts on its two sides."""
+    grading, w = [], 2.0 * _sin_cos(mu)[1]
+    while w < 1.0:
+        grading, w = grading + [-w, w], 4.0 * w
+    points = sorted({lo, hi, *(c for c in (0.0, *grading, *cuts) if lo < c < hi)})
+    pieces = []
+    for u, v in zip(points, points[1:]):
+        for anchor, sign in ((u, 1.0), (v, -1.0)):
+            if math.isfinite(anchor):  # half of a finite piece, or all of an infinite one
+                pieces.append(integrate_half_line(lambda x: f(anchor + sign * x), 0.0,
+                                                  0.5 * (v - u), local_tol=local_tol))
+    return math.fsum(pieces)
+
+
+def _lamperti_mean(f, mu, p, local_tol=1e-10):
+    """E[A] for A = expit((log(p/q) - L) / mu) with L of density f, cut at
+    the step of the expit."""
+    shift = math.log(p / (1.0 - p))
+    return _integrate_log_ratio(lambda x: _expit((shift - x) / mu) * f(x), mu,
+                                -math.inf, math.inf, (shift,), local_tol)
+
+
+# ---------------------------------------------------------------------------
 # arc-sine law
 # ---------------------------------------------------------------------------
 
@@ -88,12 +176,11 @@ def arcsine_cdf(z):
 # ---------------------------------------------------------------------------
 
 def ratio_power_pdf(y, mu):
-    """sin(pi mu) / (pi mu) / (y^2 + 2 y cos(pi mu) + 1) for y >= 0."""
+    """sin(pi mu) / (pi mu) / (y^2 + 2 y cos(pi mu) + 1) for y >= 0, formed as
+    g_mu(log y) / y."""
     mu = _validate_mu(mu)
-    arr = _as_array(y, "y", 0.0, math.inf)
-    c = math.cos(math.pi * mu)
-    dens = math.sin(math.pi * mu) / (math.pi * mu) / (arr * arr + 2.0 * arr * c + 1.0)
-    return _scalar_like(y, dens)
+    arr = np.maximum(_as_array(y, "y", 0.0, math.inf), _TINY_Y)
+    return _scalar_like(y, _power_ratio_density(arr, 1.0, mu) / arr)
 
 
 def ratio_power_cdf(y, mu):
@@ -119,11 +206,15 @@ def ratio_power_cdf(y, mu):
 
 def lamperti_pdf(z, mu, p):
     """sin(pi mu) / (pi z (1-z)) / (r + 1/r + 2 cos(pi mu)) on (0, 1), where
-    r = (p/q) ((1-z)/z)**mu."""
+    r = (p/q) ((1-z)/z)**mu, formed as mu g_mu(log r) / (z (1-z)) from the
+    powers (p/q) (1-z)**mu and z**mu.  At p = 1/2 the odds are exactly 1.0,
+    so swapping z and 1 - z repeats the same float operations."""
     mu, p = _validate_mu(mu), _validate_p(p)
     arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
-    with np.errstate(divide="ignore", over="ignore"):
-        return _scalar_like(z, _lamperti_pdf_pair(arr, 1.0 - arr, mu, p))
+    w = 1.0 - arr
+    with np.errstate(over="ignore"):  # the density exceeds the float range at subnormal z
+        dens = mu * _power_ratio_density(p / (1.0 - p) * w**mu, arr**mu, mu) / (arr * w)
+    return _scalar_like(z, dens)
 
 
 def lamperti_cdf(z, mu, p):
@@ -135,8 +226,12 @@ def lamperti_cdf(z, mu, p):
     out[arr == 1.0] = 1.0
     inner = (arr > 0.0) & (arr < 1.0)
     if np.any(inner):
+        z_in = arr[inner]
         with np.errstate(over="ignore"):
-            r = p / (1.0 - p) * ((1.0 - arr[inner]) / arr[inner]) ** mu
+            r = p / (1.0 - p) * ((1.0 - z_in) / z_in) ** mu
+            # the odds overflow at subnormal z where r need not: redo in logs
+            big = np.isinf(r)
+            r[big] = np.exp(_log_ratio_at(z_in[big], mu, p))
         # an r beyond the float range has cdf 0 to within an ulp
         out[inner] = 1.0 - ratio_power_cdf(np.minimum(r, _FLOAT_MAX), mu)
     return _scalar_like(z, out.reshape(np.shape(z)))
@@ -193,31 +288,6 @@ def fractional_moment(s, mu):
 
 
 # ---------------------------------------------------------------------------
-# split-argument densities for quadrature
-#
-# The quadrature substitution supplies (z, 1 - z) as an exact pair; these
-# scalar forms never recompute 1 - z, which would round to 0 and drop real
-# endpoint mass for the heavier-tailed parameter choices.
-# ---------------------------------------------------------------------------
-
-def _arcsine_pdf_pair(z, w):
-    return 1.0 / (math.pi * math.sqrt(z * w))
-
-
-def _lamperti_pdf_pair(z, w, mu, p):
-    """Lamperti density on floats or arrays.  The bracket is formed from
-    w**mu and z**mu separately, so at p = 1/2 (odds exactly 1.0) swapping z
-    and w performs the identical float operations."""
-    a = p / (1.0 - p) * w**mu
-    b = z**mu
-    try:
-        bracket = a / b + b / a + 2.0 * math.cos(math.pi * mu)
-        return math.sin(math.pi * mu) / math.pi / (z * w * bracket)
-    except ZeroDivisionError:  # floats only: a term beyond the float range
-        return 0.0 if a == 0.0 else math.inf
-
-
-# ---------------------------------------------------------------------------
 # law descriptors and curves
 # ---------------------------------------------------------------------------
 
@@ -263,10 +333,16 @@ class LawSpec:
         return (0.0, 1.0)
 
     def _lamperti(self):
-        """(mu, p) of a Lamperti-family law."""
-        if self.kind is LawKind.STABLE_RATIO_A:
-            return self.mu, 0.5
-        return 0.5, 1.0 / self.n
+        """(mu, p) of a law on [0, 1] as a point of Lamperti's family; the
+        ratio-power law's mu comes with p = 1/2."""
+        mu = 0.5 if self.mu is None else self.mu
+        return mu, 0.5 if self.n is None else 1.0 / self.n
+
+    def _log_ratio_pdf(self, x):
+        """The density of L at a float x; the arc-sine law keeps its own."""
+        if self.kind is LawKind.ARC_SINE:
+            return _arcsine_log_ratio_pdf(x)
+        return _g_mu(x, self._lamperti()[0])
 
     def pdf(self, x):
         if self.kind is LawKind.ARC_SINE:
@@ -281,14 +357,6 @@ class LawSpec:
         if self.kind is LawKind.STABLE_RATIO_POWER:
             return ratio_power_cdf(x, self.mu)
         return lamperti_cdf(x, *self._lamperti())
-
-    def pdf_pair(self, z, w):
-        """Density evaluated on an exact (z, 1 - z) pair; [0, 1] laws only."""
-        if self.kind is LawKind.ARC_SINE:
-            return _arcsine_pdf_pair(z, w)
-        if self.kind is LawKind.STABLE_RATIO_POWER:
-            raise ParameterDomainError(f"{self.kind.value} is not supported on [0, 1]")
-        return _lamperti_pdf_pair(z, w, *self._lamperti())
 
     def label(self) -> str:
         if self.kind in _NEEDS_MU:
@@ -307,23 +375,24 @@ class LawSpec:
 
 
 def integrate_density(law: LawSpec, a: float, b: float, local_tol=1e-10) -> float:
-    """Integral of the law's density over [a, b] within its support closure."""
+    """Integral of the law's density over [a, b] within its support closure,
+    taken over the matching interval of L."""
     lo, hi = law.support
     if not (lo <= a <= b <= hi):
         raise ParameterDomainError(f"[{a}, {b}] outside support [{lo}, {hi}]")
-    if math.isinf(hi):
-        pdf = law.pdf
-        return integrate_half_line(lambda y: pdf(y), a, b, local_tol=local_tol)
-    return integrate_unit_interval_pair(law.pdf_pair, a, b, local_tol=local_tol)
+    mu, p = law._lamperti()
+    if law.kind is LawKind.STABLE_RATIO_POWER:
+        ends = [math.log(x) if x > 0.0 else -math.inf for x in (a, b)]
+    else:
+        ends = [float(_log_ratio_at(x, mu, p)) for x in (b, a)]
+    return _integrate_log_ratio(law._log_ratio_pdf, mu, *ends, local_tol=local_tol)
 
 
 def density_mean(law: LawSpec, local_tol=1e-10) -> float:
     """First moment of a law supported on [0, 1]."""
     if math.isinf(law.support[1]):
         raise ParameterDomainError("mean helper is for laws on [0, 1]")
-    pair = law.pdf_pair
-    return integrate_unit_interval_pair(lambda z, w: z * pair(z, w), 0.0, 1.0,
-                                        local_tol=local_tol)
+    return _lamperti_mean(law._log_ratio_pdf, *law._lamperti(), local_tol)
 
 
 @dataclass

@@ -1,15 +1,12 @@
-"""Adaptive Gauss-Kronrod quadrature with substitutions for endpoint singularities.
+"""Adaptive Gauss-Kronrod quadrature on an interval and on the half line.
 
-The densities handled by this package blow up like z**(mu-1) or z**(-1/2) at
-the ends of [0, 1].  Integration therefore runs in a transformed variable:
-
-* ``z = sin(theta)**2`` on [0, 1], which cancels square-root singularities
-  exactly and softens the power-law ones enough for adaptive refinement;
-* ``y = t / (1 - t)`` on [0, inf), which maps the half line to [0, 1) and
-  absorbs the y**-2 tail of the ratio-power density.
-
-The remaining integrand is handled by a global adaptive G7/K15 scheme that
-repeatedly bisects the panel with the largest error estimate.
+The package integrates its laws in one coordinate, L = log(X**mu), where
+every density is smooth and bounded and decays like e^-|L| (see
+:mod:`spiderlaw.laws`), so no endpoint singularity is left to cancel.  One
+substitution, ``y = t / (1 - t)``, maps a piece of [0, inf) into [0, 1); a
+cut placed at y = 0 lands at t = 0, where bisection can dig arbitrarily
+deep.  A global adaptive G7/K15 scheme then bisects the panel with the
+largest error estimate.
 """
 from __future__ import annotations
 
@@ -89,53 +86,6 @@ def adaptive_quadrature(f, a, b, local_tol=1e-10, max_panels=16384):
     if not math.isfinite(total):
         # an overflowing panel has a NaN error estimate, which stops refinement
         raise QuadratureError(f"non-finite integral {total} over [{a}, {b}]")
-    return total
-
-
-def integrate_unit_interval_pair(f, a, b, local_tol=1e-10, max_panels=16384):
-    """Integrate ``f(z, 1 - z)`` over [a, b] inside [0, 1] via the
-    z = sin(theta)^2 map.
-
-    Both halves of [0, 1] are mapped separately so that each endpoint
-    singularity lands at theta = 0, where floating-point spacing is
-    unbounded below and bisection can dig arbitrarily deep.  (Mapping the
-    upper endpoint to theta = pi/2 would stall at the ~2e-16 float spacing
-    there, and a power-law density still carries visible mass that close to
-    the end.)  The two integrand arguments are sin(theta)^2 and
-    cos(theta)^2, an exact (z, 1 - z) pair: forming 1 - z in floating point
-    would lose every significant digit once z is within 1e-16 of 1.
-    """
-    if not 0.0 <= a <= b <= 1.0:
-        raise ParameterDomainError(f"interval [{a}, {b}] not inside [0, 1]")
-
-    def g_lower(theta):
-        s = math.sin(theta)
-        c = math.cos(theta)
-        z = s * s
-        if z <= 0.0:
-            return 0.0
-        return f(z, c * c) * 2.0 * s * c
-
-    def g_upper(theta):
-        # integrates over u = 1 - z; the pair arrives swapped
-        s = math.sin(theta)
-        c = math.cos(theta)
-        u = s * s
-        if u <= 0.0:
-            return 0.0
-        return f(c * c, u) * 2.0 * s * c
-
-    total = 0.0
-    if a < 0.5:
-        hi = min(b, 0.5)
-        total += adaptive_quadrature(
-            g_lower, math.asin(math.sqrt(a)), math.asin(math.sqrt(hi)),
-            local_tol=local_tol, max_panels=max_panels)
-    if b > 0.5:
-        lo = max(a, 0.5)
-        total += adaptive_quadrature(
-            g_upper, math.asin(math.sqrt(1.0 - b)), math.asin(math.sqrt(1.0 - lo)),
-            local_tol=local_tol, max_panels=max_panels)
     return total
 
 

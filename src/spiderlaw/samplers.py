@@ -30,19 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError
-from .laws import _validate_mu, _validate_p, _validate_rays
+from .laws import _expit, _validate_mu, _validate_p, _validate_rays
 from .output import sidecar_path, write_csv, write_json
 from .rng import RngStream
-
-
-@dataclass(frozen=True)
-class StableParams:
-    """Exponent of a one-sided stable law, constrained to (0, 1)."""
-
-    mu: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", _validate_mu(self.mu))
 
 
 @dataclass
@@ -109,10 +99,9 @@ def _log_ratio(mu, rng: RngStream, size, meta: BatchMeta | None):
     return log_s - _kanter(mu, rng, size, meta)
 
 
-def sample_positive_stable(params: StableParams, rng: RngStream, size,
-                           meta: BatchMeta | None = None):
+def sample_positive_stable(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """One-sided stable(mu) draws with E[exp(-lam S)] = exp(-lam**mu)."""
-    mu = params.mu
+    mu = _validate_mu(mu)
     log_s = (1.0 - mu) / mu * _kanter(mu, rng, size, meta)
     with np.errstate(over="ignore"):
         return np.exp(log_s)
@@ -129,25 +118,18 @@ def sample_stable_half(rng: RngStream, size, meta: BatchMeta | None = None):
     return _clean(draw, _finite_positive, size, meta)
 
 
-def sample_ratio_X(params: StableParams, rng: RngStream, size,
-                   meta: BatchMeta | None = None):
+def sample_ratio_X(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """Ratio X = S / S' of two independent stable(mu) draws."""
-    mu = params.mu
+    mu = _validate_mu(mu)
     log_x = (1.0 - mu) / mu * _log_ratio(mu, rng, size, meta)
     with np.errstate(over="ignore"):
         return np.exp(log_x)
 
 
-def sample_ratio_power(params: StableParams, rng: RngStream, size,
-                       meta: BatchMeta | None = None):
+def sample_ratio_power(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """Y = X**mu = (S / S')**mu, the law of :func:`~spiderlaw.laws.ratio_power_pdf`."""
-    return np.exp((1.0 - params.mu) * _log_ratio(params.mu, rng, size, meta))
-
-
-def _expit(x):
-    """1 / (1 + exp(-x)), without overflow for either sign of x."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    mu = _validate_mu(mu)
+    return np.exp((1.0 - mu) * _log_ratio(mu, rng, size, meta))
 
 
 def sample_lamperti(mu, p, rng: RngStream, size, meta: BatchMeta | None = None):
@@ -163,10 +145,9 @@ def sample_lamperti(mu, p, rng: RngStream, size, meta: BatchMeta | None = None):
         return _expit((math.log(p / (1.0 - p)) - log_y) / mu)
 
 
-def sample_ratio_A(params: StableParams, rng: RngStream, size,
-                   meta: BatchMeta | None = None):
+def sample_ratio_A(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """A = S' / (S' + S) = 1 / (1 + X): Lamperti's law at p = 1/2."""
-    return sample_lamperti(params.mu, 0.5, rng, size, meta)
+    return sample_lamperti(mu, 0.5, rng, size, meta)
 
 
 def sample_occupation_exact(n: int, rng: RngStream, size,

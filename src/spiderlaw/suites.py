@@ -33,7 +33,7 @@ from .laws import (
     stieltjes_transform,
 )
 from .rng import RngStream, composite_stream_id
-from .samplers import StableParams, sample_positive_stable, sample_ratio_X
+from .samplers import sample_positive_stable, sample_ratio_X
 
 TRANSFORM_MUS = (0.3, 0.5, 0.7)
 LAPLACE_LAMBDAS = (0.5, 1.0, 2.0)
@@ -82,15 +82,14 @@ def transform_suite(seed, n_samples=TRANSFORM_SAMPLES):
         reports.append(mc_transform_check(values, target, name=name, seed=seed))
 
     for k, mu in enumerate(TRANSFORM_MUS):
-        params = StableParams(mu)
-        s = sample_positive_stable(params, _stream(seed, 2 * k), n_samples)
+        s = sample_positive_stable(mu, _stream(seed, 2 * k), n_samples)
         for lam in LAPLACE_LAMBDAS:
             band(f"laplace[mu={mu},lam={lam}]", np.exp(-lam * s), math.exp(-lam ** mu))
         for order in MOMENT_ORDERS:
             band(f"moment[mu={mu},s={order}]", s ** (mu * order),
                  fractional_moment(order, mu))
         del s
-        x = sample_ratio_X(params, _stream(seed, 2 * k + 1), n_samples)
+        x = sample_ratio_X(mu, _stream(seed, 2 * k + 1), n_samples)
         for t in STIELTJES_S:
             band(f"stieltjes[mu={mu},s={t}]", 1.0 / (1.0 + t * x),
                  stieltjes_transform(t, mu))

@@ -65,15 +65,13 @@ class SpiderConfig:
     """Walk geometry and Monte-Carlo budget.
 
     ``n = 1`` (a reflecting walk) is allowed for plain walks; stopping rules
-    need two rays.  Statistical runs enforce ``steps >= 1000`` unless
-    ``allow_small_steps`` is set (unit tests use tiny walks).
+    need two rays.
     """
 
     n: int
     steps: int
     paths: int = 1
     seed: int = 0
-    allow_small_steps: bool = False
 
     def __post_init__(self):
         if int(self.n) != self.n or not 1 <= self.n <= _MAX_RAYS:
@@ -83,10 +81,6 @@ class SpiderConfig:
             raise ParameterDomainError(f"steps must be a positive integer: {self.steps}")
         if self.steps >= _EXACT_STEPS:
             raise ParameterDomainError(f"steps must be below 2**53: {self.steps}")
-        if self.steps < 1000 and not self.allow_small_steps:
-            raise ParameterDomainError(
-                f"steps = {self.steps} < 1000; set allow_small_steps for tiny walks"
-            )
         if int(self.paths) != self.paths or self.paths < 1:
             raise ParameterDomainError(f"paths must be a positive integer: {self.paths}")
         if int(self.seed) != self.seed or not 0 <= self.seed < 1 << 64:
@@ -127,8 +121,8 @@ class StoppingRule:
                 raise ParameterDomainError(f"need a 1-based ray index, got {self.ray}")
         elif self.ray is not None:
             raise ParameterDomainError(f"{self.kind} takes no ray index")
-        if self.cap_multiplier < 1.0:
-            raise ParameterDomainError("cap multiplier must be >= 1")
+        if not (math.isfinite(self.cap_multiplier) and self.cap_multiplier >= 1.0):
+            raise ParameterDomainError("cap multiplier must be finite and >= 1")
 
     @classmethod
     def fixed_time(cls, level=1.0, cap_multiplier=DEFAULT_CAP_MULTIPLIER):

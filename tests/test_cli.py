@@ -76,6 +76,7 @@ def test_sample_usage_errors(tmp_path, monkeypatch):
     monkeypatch.setattr("spiderlaw.cli.run_walk_batch", no_walk)
     walk = ["sample", "--law", "spider-walk", "--n", "3", "--out", out]
     assert main(walk + ["--steps", "1000", "--paths", "0", "--count", "7"]) == 2
+    assert main(walk + ["--steps", "999", "--count", "1"]) == 2  # statistical floor
     assert main(walk + ["--steps", str(2 ** 53), "--count", "1"]) == 2
 
 

@@ -2,11 +2,13 @@
 
 Hypothesis draws (mu, p) from the open unit square and n from [2, 32767],
 deterministically (``derandomize=True``) and without an example database,
-so every run checks the same points.
+so every run checks the same points.  Quadrature runs in L = log(X**mu),
+where p only shifts the map to A; its properties take mu up to 1 - 1e-8.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
@@ -21,11 +23,11 @@ from spiderlaw import (
     spider_cdf,
     spider_pdf,
 )
-from spiderlaw.laws import _lamperti_pdf_pair
-from spiderlaw.quadrature import QuadratureError, integrate_unit_interval_pair
+from spiderlaw.laws import _g_mu, _integrate_log_ratio, _lamperti_mean, _log_ratio_at
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+QUADRATURE_MU = st.floats(0.0, 1.0 - 1e-8, exclude_min=True)
 RAYS = st.integers(2, 32767)
 GRID = np.arange(1, 1000) / 1000.0
 
@@ -70,26 +72,33 @@ def test_spider_is_the_point_half_one_over_n(z, n):
     assert math.isclose(cdf, direct, rel_tol=1e-14, abs_tol=2.3e-16)
 
 
-def _quadrature_resolves(mu, p):
-    """Where the quadrature is known to reach the whole law.  Outside it the
-    law puts mass where z or 1 - z is below the float range, its density
-    overflows at subnormal z (mu below about 0.05), its spike near mu = 1 is
-    narrower than the panels can find, or the first panels' nodes see none
-    of a mass packed near an end (|log(p/q)| large)."""
-    return 0.05 <= mu <= 0.9999 and abs(math.log(p / (1.0 - p))) <= 10.0
-
-
 @PROPERTY
-@given(mu=UNIT, p=UNIT)
-def test_quadrature_normalises_the_pdf(mu, p):
-    try:
-        total = integrate_unit_interval_pair(
-            lambda z, w: _lamperti_pdf_pair(z, w, mu, p), 0.0, 1.0)
-    except QuadratureError:
-        total = math.nan
-    note(f"integral {total!r}")
-    if _quadrature_resolves(mu, p):
-        assert abs(total - 1.0) <= 1e-8
+@given(mu=QUADRATURE_MU, p=UNIT, z=UNIT)
+def test_quadrature_normalises_the_pdf(mu, p, z):
+    # in L the density is g_mu whatever p is, so the normalisation is one
+    # integral; p enters through the mass below z, against the closed-form
+    # CDF, and through Lamperti's mean E[A] = p
+    g = lambda x: _g_mu(x, mu)
+    total = _integrate_log_ratio(g, mu, -math.inf, math.inf)
+    below = _integrate_log_ratio(g, mu, _log_ratio_at(z, mu, p), math.inf)
+    mean = _lamperti_mean(g, mu, p)
+    note(f"integral {total!r}, mass below z {below!r}, mean {mean!r}")
+    assert abs(total - 1.0) <= 1e-8
+    assert abs(below - lamperti_cdf(z, mu, p)) <= 1e-8
+    assert abs(mean - p) <= 1e-8
+
+
+@pytest.mark.parametrize("mu, log_odds", [
+    (1e-3, 3.0),  # the mean's expit step, narrower than the first panels
+    (0.02, -10.0),
+    (1.0 - 1e-14, -1.0),  # a mode narrower than the first panels
+    (1.0 - 2.0 ** -53, 0.0),
+])
+def test_quadrature_resolves_narrow_features(mu, log_odds):
+    p = 1.0 / (1.0 + math.exp(-log_odds))
+    g = lambda x: _g_mu(x, mu)
+    assert abs(_integrate_log_ratio(g, mu, -math.inf, math.inf) - 1.0) <= 1e-8
+    assert abs(_lamperti_mean(g, mu, p) - p) <= 1e-8
 
 
 @settings(PROPERTY, max_examples=12)

@@ -111,6 +111,19 @@ def test_ratio_A_symmetry_exact():
         assert np.array_equal(ratio_A_pdf(dyadic, mu), ratio_A_pdf(1.0 - dyadic, mu))
 
 
+@pytest.mark.parametrize("mu", [0.999, 0.99999, 1.0 - 1e-8])
+def test_density_at_the_mode_keeps_its_precision_as_mu_nears_one(mu):
+    # 1 + 2 cos(pi mu) + 1 cancels as mu -> 1; with d = 1 - mu the closed
+    # forms at the mode are sin(pi d) / (pi sin^2(pi d / 2)) for ratio A at
+    # 1/2 and sin(pi d) / (4 pi mu sin^2(pi d / 2)) for the ratio power at 1
+    d = 1.0 - mu
+    half = math.sin(0.5 * math.pi * d) ** 2
+    assert ratio_A_pdf(0.5, mu) == pytest.approx(
+        math.sin(math.pi * d) / (math.pi * half), rel=1e-13, abs=0.0)
+    assert ratio_power_pdf(1.0, mu) == pytest.approx(
+        math.sin(math.pi * d) / (4.0 * math.pi * mu * half), rel=1e-13, abs=0.0)
+
+
 def test_ratio_A_normalises():
     law = LawSpec(LawKind.STABLE_RATIO_A, mu=0.25)
     assert integrate_density(law, 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)

@@ -61,7 +61,7 @@ def test_batch_csv_format(tmp_path):
     # stopped_step = 1 makes each written fraction the count itself
     counts = np.array([FLOATS[0:2], FLOATS[2:4], [7.0, 9.0], FLOATS[4:6]])
     batch = StopBatch(
-        config=SpiderConfig(n=2, steps=10, paths=4, allow_small_steps=True),
+        config=SpiderConfig(n=2, steps=10, paths=4),
         rule=None, run_id=0, counts=counts,
         stopped_step=np.array([1, 1, 0, 1]),
         zero_visits=np.array([1, 2, 0, 10**15]),

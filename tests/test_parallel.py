@@ -147,7 +147,7 @@ def _walk_table(path):
     stopped = rng.integers(1, 10 ** 6, ROWS)
     counts = rng.random((ROWS, 2)) * stopped[:, None]
     write_batch_csv(path, StopBatch(
-        config=SpiderConfig(n=2, steps=10, paths=ROWS, allow_small_steps=True),
+        config=SpiderConfig(n=2, steps=10, paths=ROWS),
         rule=None, run_id=0, counts=counts, stopped_step=stopped,
         zero_visits=rng.integers(1, 1000, ROWS), last_zero_step=stopped // 2,
         discarded=discarded))
@@ -190,7 +190,7 @@ def _run(config, rule):
 
 @pytest.mark.parametrize("kind", list(_RULES))
 def test_walk_columns_do_not_depend_on_the_cpu_count(monkeypatch, kind):
-    config = SpiderConfig(n=3, steps=1500, paths=200, seed=11, allow_small_steps=True)
+    config = SpiderConfig(n=3, steps=1500, paths=200, seed=11)
     rule = _RULES[kind]
     # one group of every path, before the round is shrunk to 10+ groups
     reference = _run(config, rule)

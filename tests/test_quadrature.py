@@ -4,12 +4,7 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from spiderlaw import LawKind, LawSpec, ParameterDomainError, density_mean, integrate_density
-from spiderlaw.quadrature import (
-    QuadratureError,
-    adaptive_quadrature,
-    integrate_half_line,
-    integrate_unit_interval_pair,
-)
+from spiderlaw.quadrature import QuadratureError, adaptive_quadrature, integrate_half_line
 
 
 def test_polynomial_is_exact():
@@ -23,21 +18,6 @@ def test_oscillatory_vs_scipy():
     assert ours == pytest.approx(ref, abs=1e-10)
 
 
-def test_square_root_singularity_via_substitution():
-    # 1 / (pi sqrt(z(1-z))) integrates to exactly 1
-    f = lambda z, w: 1.0 / (math.pi * math.sqrt(z * (1.0 - z)))
-    assert integrate_unit_interval_pair(f, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
-    assert integrate_unit_interval_pair(f, 0.0, 0.25) == pytest.approx(
-        1.0 / 3.0, abs=1e-10)
-
-
-def test_strong_power_singularity():
-    # z**-0.9 has an integrable singularity harsher than the square root
-    f = lambda z, w: 0.1 * z ** (-0.9)
-    assert integrate_unit_interval_pair(f, 0.0, 1.0, max_panels=16384) == pytest.approx(
-        1.0, abs=1e-8)
-
-
 def test_half_line_cauchy_tail():
     f = lambda y: 1.0 / (math.pi * (1.0 + y * y))
     assert integrate_half_line(f, 0.0) == pytest.approx(0.5, abs=1e-10)
@@ -48,8 +28,6 @@ def test_half_line_cauchy_tail():
 def test_domain_errors():
     with pytest.raises(ParameterDomainError):
         adaptive_quadrature(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ParameterDomainError):
-        integrate_unit_interval_pair(lambda z, w: z, -0.1, 0.5)
     with pytest.raises(ParameterDomainError):
         integrate_half_line(lambda y: y, -1.0, 2.0)
 
@@ -67,8 +45,8 @@ def test_non_finite_integral_raises():
         adaptive_quadrature(lambda x: math.inf if x < 0.5 else 1.0, 0.0, 1.0)
     with pytest.raises(QuadratureError, match="non-finite"):
         adaptive_quadrature(lambda x: 1.0 / x if x > 0.0 else 0.0, 0.0, 1e-310)
-    law = LawSpec(LawKind.STABLE_RATIO_A, mu=0.02)  # the density overflows near 0
-    with pytest.raises(QuadratureError, match="non-finite"):
-        integrate_density(law, 0.0, 1.0)
-    with pytest.raises(QuadratureError, match="non-finite"):
-        density_mean(law)
+    # the mu = 0.02 law's density overflows at subnormal z, but in L it is
+    # bounded and its integral and mean are finite
+    law = LawSpec(LawKind.STABLE_RATIO_A, mu=0.02)
+    assert abs(integrate_density(law, 0.0, 1.0) - 1.0) <= 1e-8
+    assert abs(density_mean(law) - 0.5) <= 1e-8

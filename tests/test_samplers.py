@@ -8,7 +8,6 @@ from spiderlaw import (
     BatchMeta,
     ParameterDomainError,
     RngStream,
-    StableParams,
     arcsine_cdf,
     ks_one_sample,
     ks_two_sample,
@@ -24,7 +23,7 @@ from spiderlaw import (
     sample_stable_half,
     save_sample_batch,
 )
-from spiderlaw.samplers import _clean
+from spiderlaw.samplers import _clean, sample_ratio_power
 
 
 def _mc_band(values, target, band=4.0):
@@ -38,17 +37,19 @@ def _mc_band(values, target, band=4.0):
 
 @pytest.mark.parametrize("mu", [0.0, 1.0, -0.3, 2.0, math.nan])
 def test_stable_params_domain(mu):
-    with pytest.raises(ParameterDomainError):
-        StableParams(mu)
+    # every stable sampler validates its exponent before drawing
+    for sampler in (sample_positive_stable, sample_ratio_X, sample_ratio_power,
+                    sample_ratio_A):
+        with pytest.raises(ParameterDomainError):
+            sampler(mu, RngStream(0), 1)
 
 
 def test_determinism_bitwise():
-    params = StableParams(0.4)
     for draw in (
-        lambda r: sample_positive_stable(params, r, 64),
+        lambda r: sample_positive_stable(0.4, r, 64),
         lambda r: sample_stable_half(r, 64),
-        lambda r: sample_ratio_X(params, r, 64),
-        lambda r: sample_ratio_A(params, r, 64),
+        lambda r: sample_ratio_X(0.4, r, 64),
+        lambda r: sample_ratio_A(0.4, r, 64),
         lambda r: sample_cauchy_spider_marginal(4, r, 64),
         lambda r: sample_arcsine(r, 64, method="normal_ratio"),
     ):
@@ -62,18 +63,18 @@ def test_determinism_bitwise():
 def test_positive_stable_laplace_transform():
     # MC mean of exp(-lam S) vs exp(-lam**mu), 4-sigma band
     for i, (mu, lam) in enumerate([(0.3, 1.0), (0.5, 0.5), (0.7, 2.0)]):
-        s = sample_positive_stable(StableParams(mu), RngStream(11, i), 400_000)
+        s = sample_positive_stable(mu, RngStream(11, i), 400_000)
         assert _mc_band(np.exp(-lam * s), math.exp(-lam ** mu))
 
 
 def test_positive_stable_matches_half_closed_form():
-    s1 = sample_positive_stable(StableParams(0.5), RngStream(21, 0), 100_000)
+    s1 = sample_positive_stable(0.5, RngStream(21, 0), 100_000)
     s2 = sample_stable_half(RngStream(21, 1), 100_000)
     assert ks_two_sample(s1, s2, seed=21).passed
 
 
 def test_positive_stable_strictly_positive_and_finite():
-    s = sample_positive_stable(StableParams(0.2), RngStream(3, 0), 50_000)
+    s = sample_positive_stable(0.2, RngStream(3, 0), 50_000)
     assert np.isfinite(s).all() and (s > 0).all()
 
 
@@ -92,18 +93,18 @@ def test_stable_half_laplace_and_median():
 # ---------------------------------------------------------------------------
 
 def test_ratio_X_stieltjes_at_one():
-    x = sample_ratio_X(StableParams(0.5), RngStream(41, 0), 1_000_000)
+    x = sample_ratio_X(0.5, RngStream(41, 0), 1_000_000)
     assert _mc_band(1.0 / (1.0 + x), 0.5)
 
 
 def test_ratio_X_inverse_symmetry():
-    x = sample_ratio_X(StableParams(0.35), RngStream(41, 1), 100_000)
-    y = sample_ratio_X(StableParams(0.35), RngStream(41, 2), 100_000)
+    x = sample_ratio_X(0.35, RngStream(41, 1), 100_000)
+    y = sample_ratio_X(0.35, RngStream(41, 2), 100_000)
     assert ks_two_sample(x, 1.0 / y, seed=41).passed
 
 
 def test_ratio_X_mellin_quarter_moment():
-    x = sample_ratio_X(StableParams(0.5), RngStream(41, 3), 1_000_000)
+    x = sample_ratio_X(0.5, RngStream(41, 3), 1_000_000)
     assert _mc_band(x ** 0.25, math.sqrt(2.0))
 
 
@@ -122,7 +123,7 @@ def test_c_mu_conditioned_positive_matches_ratio_power():
     mu = 0.7
     c = _c_mu(mu, RngStream(51, 2), 400_000)
     positive = c[c > 0][:100_000]
-    ref = sample_ratio_X(StableParams(mu), RngStream(51, 3), 100_000) ** mu
+    ref = sample_ratio_X(mu, RngStream(51, 3), 100_000) ** mu
     assert ks_two_sample(positive, ref, seed=51).passed
 
 
@@ -134,14 +135,14 @@ def test_c_mu_positive_probability():
 
 
 def test_ratio_A_mean_and_support():
-    a = sample_ratio_A(StableParams(0.3), RngStream(61, 0), 1_000_000)
+    a = sample_ratio_A(0.3, RngStream(61, 0), 1_000_000)
     assert _mc_band(a, 0.5)
     # draws within half an ulp of 1 round to 1.0, a correct float result
     assert ((a >= 0) & (a <= 1)).all()
 
 
 def test_ratio_A_is_arcsine_at_half():
-    a = sample_ratio_A(StableParams(0.5), RngStream(61, 1), 100_000)
+    a = sample_ratio_A(0.5, RngStream(61, 1), 100_000)
     assert ks_one_sample(a, arcsine_cdf, seed=61).passed
 
 
@@ -149,7 +150,7 @@ def test_ratio_A_is_arcsine_at_half():
 def test_ratio_A_symmetric_at_small_mu(mu):
     # the law is symmetric about 1/2, in the bulk and in both tails
     meta = BatchMeta()
-    a = sample_ratio_A(StableParams(mu), RngStream(3, 0), 1_000_000, meta=meta)
+    a = sample_ratio_A(mu, RngStream(3, 0), 1_000_000, meta=meta)
     assert _mc_band((a > 0.5).astype(float), 0.5)
     tail = 2.0 ** -20
     assert _mc_band((a >= 1.0 - tail).astype(float) - (a <= tail), 0.0)
@@ -161,7 +162,7 @@ def test_ratio_A_matches_closed_form_at_small_mu(mu):
     # up to z0 every float cell carries negligible mass, so KS applies to the
     # draws below z0; above it many draws round to 1.0, so only the mass of
     # that top interval is checked
-    a = sample_ratio_A(StableParams(mu), RngStream(67, 1), 200_000)
+    a = sample_ratio_A(mu, RngStream(67, 1), 200_000)
     z0 = 1.0 - 2.0 ** -20
     f0 = ratio_A_cdf(z0, mu)
     body = a[a <= z0]
@@ -178,7 +179,7 @@ def test_ratio_power_matches_closed_form_at_tiny_mu(seed):
     # and the mass on either side of that window is checked by a 4-sigma band
     mu = 0.005
     meta = BatchMeta()
-    y = sample_ratio_X(StableParams(mu), RngStream(seed, 0), 1_000_000, meta=meta) ** mu
+    y = sample_ratio_X(mu, RngStream(seed, 0), 1_000_000, meta=meta) ** mu
     lo, hi = 2.0 ** (-1000 * mu), 2.0 ** (1000 * mu)
     f_lo, f_hi = ratio_power_cdf(lo, mu), ratio_power_cdf(hi, mu)
     body = y[(y >= lo) & (y <= hi)]
@@ -192,7 +193,7 @@ def test_ratio_power_matches_closed_form_at_tiny_mu(seed):
 
 def test_lamperti_at_half_is_ratio_A_bitwise():
     for mu in (0.005, 0.3, 0.7):
-        a = sample_ratio_A(StableParams(mu), RngStream(17, 0), 10_000)
+        a = sample_ratio_A(mu, RngStream(17, 0), 10_000)
         b = sample_lamperti(mu, 0.5, RngStream(17, 0), 10_000)
         assert np.array_equal(a, b)
 
@@ -282,7 +283,7 @@ def test_samplers_require_a_size():
     # there is no scalar mode: a size is a required positional argument
     assert _clean(lambda k: np.full(k, 2.5), np.isfinite, 1, None).tolist() == [2.5]
     with pytest.raises(TypeError):
-        sample_ratio_A(StableParams(0.5), RngStream(0))
+        sample_ratio_A(0.5, RngStream(0))
     with pytest.raises(TypeError):
         sample_occupation_exact(3, RngStream(0))
 

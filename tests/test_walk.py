@@ -36,9 +36,7 @@ from spiderlaw.walk import (
 def test_config_validation():
     with pytest.raises(ParameterDomainError):
         SpiderConfig(n=0, steps=2000)
-    with pytest.raises(ParameterDomainError):
-        SpiderConfig(n=2, steps=500)  # statistical runs need >= 1000 steps
-    SpiderConfig(n=2, steps=500, allow_small_steps=True)
+    SpiderConfig(n=2, steps=500)  # the 1000-step floor is the CLI's (test_cli)
     with pytest.raises(ParameterDomainError):
         SpiderConfig(n=2, steps=2000, paths=0)
     # step totals are float64, exact only below 2**53
@@ -75,13 +73,24 @@ def test_stopping_rule_validation():
             rule.validate_for(huge)
 
 
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.5])
+def test_cap_multiplier_must_be_finite_and_at_least_one(cap):
+    # a NaN cap passed the old `cap < 1` test and an infinite one reached
+    # math.ceil inside stop_batch; both now fail at construction
+    for make in (StoppingRule.fixed_time, StoppingRule.inverse_local_time):
+        with pytest.raises(ParameterDomainError, match="cap multiplier"):
+            make(1.0, cap_multiplier=cap)
+    with pytest.raises(ParameterDomainError, match="cap multiplier"):
+        StoppingRule.inverse_occupation(0.5, ray=1, cap_multiplier=cap)
+
+
 # ---------------------------------------------------------------------------
 # determinism and engine identities
 # ---------------------------------------------------------------------------
 
 def test_batch_reproducible_and_size_independent():
     # path p runs on its own stream, so it is row p of a batch of any size
-    config = SpiderConfig(n=3, steps=1500, paths=300, seed=17, allow_small_steps=True)
+    config = SpiderConfig(n=3, steps=1500, paths=300, seed=17)
     for run in (lambda c: simulate_batch(c, run_id=2),
                 lambda c: stop_batch(c, StoppingRule.inverse_local_time(1.0), run_id=3),
                 lambda c: stop_batch(c, StoppingRule.inverse_occupation(0.5, ray=2),
@@ -97,8 +106,7 @@ def test_path_draws_follow_the_philox_key_layout():
     # round 0 of path p is Philox keyed (seed, composite_stream_id(run, p)) at
     # counter (0, 0, 0, 0); at 2 steps a round is 2 excursions, the first
     # picks the ray floor(n u[0]) and returns at once iff u[2] < 1/2
-    config = SpiderConfig(n=5, steps=2, paths=64, seed=2 ** 64 - 3,
-                          allow_small_steps=True)
+    config = SpiderConfig(n=5, steps=2, paths=64, seed=2 ** 64 - 3)
     batch = simulate_batch(config, run_id=7)
     for p in range(config.paths):
         key = np.array([config.seed, composite_stream_id(7, p)], dtype=np.uint64)
@@ -109,7 +117,7 @@ def test_path_draws_follow_the_philox_key_layout():
 
 def test_conservation_every_path():
     for n in (1, 2, 5):
-        config = SpiderConfig(n=n, steps=2048, paths=200, seed=3, allow_small_steps=True)
+        config = SpiderConfig(n=n, steps=2048, paths=200, seed=3)
         batch = simulate_batch(config)
         assert (batch.counts.sum(axis=1) == 2048).all()
         assert (batch.zero_visits >= 1).all()
@@ -117,7 +125,7 @@ def test_conservation_every_path():
 
 
 def test_fixed_time_stop_equals_plain_batch():
-    config = SpiderConfig(n=2, steps=1024, paths=100, seed=5, allow_small_steps=True)
+    config = SpiderConfig(n=2, steps=1024, paths=100, seed=5)
     walk = simulate_batch(config, run_id=9)
     stopped = stop_batch(config, StoppingRule.fixed_time(1.0), run_id=9)
     assert np.array_equal(walk.counts, stopped.counts)
@@ -128,7 +136,7 @@ def test_fixed_time_stop_equals_plain_batch():
 def test_exact_landing_on_the_horizon():
     # the first excursion has length 2 with probability 1/2; when it ends
     # exactly at the horizon it is complete and the path ends at the origin
-    config = SpiderConfig(n=3, steps=2, paths=4000, seed=73, allow_small_steps=True)
+    config = SpiderConfig(n=3, steps=2, paths=4000, seed=73)
     batch = simulate_batch(config)
     landed = batch.zero_visits == 2
     assert (batch.last_zero_step[landed] == 2).all()
@@ -165,7 +173,7 @@ def test_first_return_lengths_on_unit_interval_edges():
 def test_ray_relabelling_leaves_marginals_unchanged():
     # exchangeability probed across independent batches (coordinates of one
     # path are dependent, so each pool comes from its own run)
-    config = SpiderConfig(n=3, steps=2000, paths=3000, seed=31, allow_small_steps=True)
+    config = SpiderConfig(n=3, steps=2000, paths=3000, seed=31)
     pools = [simulate_batch(config, run_id=r).fractions[:, r] for r in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -197,7 +205,7 @@ def test_three_ray_occupation_matches_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_inverse_occupation_pins_target_coordinate():
-    config = SpiderConfig(n=3, steps=2000, paths=200, seed=41, allow_small_steps=True)
+    config = SpiderConfig(n=3, steps=2000, paths=200, seed=41)
     level = 0.37
     batch = stop_batch(config, StoppingRule.inverse_occupation(level, ray=1), run_id=2)
     kept = batch.kept
@@ -210,7 +218,7 @@ def test_inverse_occupation_pins_target_coordinate():
 
 def test_stopped_counts_sum_to_stopping_time():
     # the stopping time decomposes exactly into the per-ray occupations
-    config = SpiderConfig(n=4, steps=1500, paths=150, seed=71, allow_small_steps=True)
+    config = SpiderConfig(n=4, steps=1500, paths=150, seed=71)
     for run_id, rule in enumerate((StoppingRule.fixed_time(1.0),
                                    StoppingRule.inverse_occupation(0.5, ray=3),
                                    StoppingRule.inverse_local_time(1.0))):
@@ -221,7 +229,7 @@ def test_stopped_counts_sum_to_stopping_time():
 
 
 def test_tiny_cap_discards_and_raises():
-    config = SpiderConfig(n=2, steps=1000, paths=300, seed=47, allow_small_steps=True)
+    config = SpiderConfig(n=2, steps=1000, paths=300, seed=47)
     rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=1.0)
     batch = stop_batch(config, rule, run_id=6)
     assert batch.discard_count > 0
@@ -233,7 +241,7 @@ def test_tiny_cap_discards_and_raises():
 
 
 def test_stop_rules_need_two_rays():
-    config = SpiderConfig(n=1, steps=1000, paths=10, seed=1, allow_small_steps=True)
+    config = SpiderConfig(n=1, steps=1000, paths=10, seed=1)
     with pytest.raises(UsageError):
         stop_batch(config, StoppingRule.fixed_time(1.0))
 
@@ -286,8 +294,7 @@ def _stepwise_reference(n, steps, rule, level, ray_j, cap, paths, seed):
 def test_excursion_engine_matches_stepwise_reference(rule_kind):
     # same cap on both sides, so truncation affects both marginals identically
     n, steps, paths, cap_mult = 3, 1000, 2500, 50.0
-    config = SpiderConfig(n=n, steps=steps, paths=paths, seed=53,
-                          allow_small_steps=True)
+    config = SpiderConfig(n=n, steps=steps, paths=paths, seed=53)
     if rule_kind == "lt":
         rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=cap_mult)
     elif rule_kind == "occ":
@@ -367,7 +374,7 @@ def test_engine_matches_exact_two_ray_law(kind, steps):
         rule = StoppingRule.inverse_occupation(0.5, ray=2, cap_multiplier=2.5)
     else:
         rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=2.5)
-    config = SpiderConfig(n=2, steps=steps, paths=paths, seed=83, allow_small_steps=True)
+    config = SpiderConfig(n=2, steps=steps, paths=paths, seed=83)
     law = _exact_two_ray_law(steps, kind, rule.level, rule.ray, rule.cap_steps(config))
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -411,7 +418,7 @@ def test_local_time_proxy_scales_like_a_constant():
 # ---------------------------------------------------------------------------
 
 def test_batch_csv_and_manifest(tmp_path):
-    config = SpiderConfig(n=3, steps=1200, paths=50, seed=61, allow_small_steps=True)
+    config = SpiderConfig(n=3, steps=1200, paths=50, seed=61)
     csv_path = tmp_path / "walk.csv"
     manifest_path = tmp_path / "walk.run.json"
     batch = run_walk_batch(config, None, csv_path, manifest_path)
