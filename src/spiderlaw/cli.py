@@ -115,14 +115,12 @@ def _require_n(args) -> int:
 def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
     count = args.count
-    if args.law == "spider-walk" and args.paths is not None:
-        count = args.paths
     if count is None:
-        raise UsageError("--count is required (or --paths for spider-walk)")
+        raise UsageError("--count is required")
     if count < 1:
         raise UsageError(f"sample count must be positive: {count}")
     out = Path(args.out)
-    csv_path = prepare_out(out if out.suffix == ".csv" else out.with_suffix(".csv"))
+    csv_path = prepare_out(out if out.name.endswith(".csv") else out.parent / f"{out.name}.csv")
     # every declared output is checked before any draw: the sidecar (a
     # walk's run manifest) and the command manifest beside the CSV
     json_path = prepare_out(csv_path.with_suffix(
@@ -153,34 +151,28 @@ def cmd_sample(args) -> int:
     parameters: dict = {}
     if args.law == "arcsine":
         values = sample_arcsine(rng, count, meta=meta)
-        law_name = "arcsine"
     elif args.law == "stable":
-        mu = _require_mu(args)
-        values = sample_positive_stable(mu, rng, count, meta=meta)
-        law_name, parameters = "stable", {"mu": mu}
+        parameters = {"mu": _require_mu(args)}
+        values = sample_positive_stable(parameters["mu"], rng, count, meta=meta)
     elif args.law == "stable-half":
         values = sample_stable_half(rng, count, meta=meta)
-        law_name = "stable_half"
     elif args.law == "ratio-power":
-        mu = _require_mu(args)
-        values = sample_ratio_power(mu, rng, count, meta=meta)
-        law_name, parameters = "ratio_power", {"mu": mu}
+        parameters = {"mu": _require_mu(args)}
+        values = sample_ratio_power(parameters["mu"], rng, count, meta=meta)
     elif args.law == "ratio-a":
-        mu = _require_mu(args)
-        values = sample_ratio_A(mu, rng, count, meta=meta)
-        law_name, parameters = "ratio_a", {"mu": mu}
+        parameters = {"mu": _require_mu(args)}
+        values = sample_ratio_A(parameters["mu"], rng, count, meta=meta)
     elif args.law == "occupation":
-        n = _require_n(args)
-        values = sample_occupation_exact(n, rng, count, meta=meta)
-        law_name, parameters = "occupation", {"n": n}
+        parameters = {"n": _require_n(args)}
+        values = sample_occupation_exact(parameters["n"], rng, count, meta=meta)
     elif args.law == "spider-marginal":
-        n = _require_n(args)
-        values = sample_cauchy_spider_marginal(n, rng, count, meta=meta)
-        law_name, parameters = "spider_marginal", {"n": n}
+        parameters = {"n": _require_n(args)}
+        values = sample_cauchy_spider_marginal(parameters["n"], rng, count, meta=meta)
     else:
         raise UsageError(f"unknown law {args.law!r}")
 
-    sidecar = save_sample_batch(csv_path, values, law_name, parameters, seed, meta=meta)
+    sidecar = save_sample_batch(csv_path, values, args.law.replace("-", "_"),
+                                parameters, seed, meta=meta)
     manifest.outputs += [str(csv_path), sidecar]
     manifest.finish(manifest_path, args.deterministic)
     return 0
@@ -192,12 +184,15 @@ def cmd_sample(args) -> int:
 
 def _emit_figure(args, parameters, laws, labels, title) -> int:
     """One CSV + sidecar per law, the SVG overlay, then the run manifest."""
+    names = [law.label() for law in laws]
+    clash = sorted({name for name in names if names.count(name) > 1})
+    if clash:
+        raise UsageError(f"curves would share the output {', '.join(clash)}; "
+                         "give distinct values")
     out = Path(args.out)
     svg_path = prepare_out(out.parent / f"{out.name}.svg")
-    prefix = svg_path.with_suffix("")
-    manifest_path = prepare_out(prefix.with_suffix(".manifest.json"))
-    csv_paths = [prepare_out(prefix.parent / f"{prefix.name}_{law.label()}.csv")
-                 for law in laws]
+    manifest_path = prepare_out(out.parent / f"{out.name}.manifest.json")
+    csv_paths = [prepare_out(out.parent / f"{out.name}_{name}.csv") for name in names]
     for csv_path in csv_paths:
         prepare_out(sidecar_path(csv_path))
     manifest = RunManifest.begin(args.command, {**parameters, "grid": args.grid},
@@ -275,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--count", type=int)
-    p.add_argument("--paths", type=int, help="path count for --law spider-walk")
     p.add_argument("--steps", type=int, help="walk length for --law spider-walk")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)

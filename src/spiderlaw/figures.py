@@ -21,6 +21,7 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 24, 42, 54
+_Y_MAX = 3.0  # the plot ceiling
 
 
 def write_curve_csv(curve: DensityCurve, csv_path):
@@ -36,13 +37,12 @@ def _x_pixel(z):
     return _MARGIN_L + z * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
 
-def _y_pixel(v, y_max):
+def _y_pixel(v):
     usable = _HEIGHT - _MARGIN_T - _MARGIN_B
-    return _HEIGHT - _MARGIN_B - min(v, y_max) / y_max * usable
+    return _HEIGHT - _MARGIN_B - min(v, _Y_MAX) / _Y_MAX * usable
 
 
-def render_curves_svg(curves, labels, svg_path, *, title, y_max=3.0,
-                      deterministic=False):
+def render_curves_svg(curves, labels, svg_path, *, title, deterministic=False):
     """Overlay density curves in one SVG file, one path element per curve."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
@@ -58,8 +58,8 @@ def render_curves_svg(curves, labels, svg_path, *, title, y_max=3.0,
     )
 
     # axes
-    x0, y0 = _x_pixel(0.0), _y_pixel(0.0, y_max)
-    x1, y1 = _x_pixel(1.0), _y_pixel(y_max, y_max)
+    x0, y0 = _x_pixel(0.0), _y_pixel(0.0)
+    x1, y1 = _x_pixel(1.0), _y_pixel(_Y_MAX)
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>')
     parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>')
     for tick in np.linspace(0.0, 1.0, 5):
@@ -69,8 +69,8 @@ def render_curves_svg(curves, labels, svg_path, *, title, y_max=3.0,
             f'<text x="{tx}" y="{y0 + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{tick:g}</text>'
         )
-    for tick in np.linspace(0.0, y_max, 4):
-        ty = _y_pixel(tick, y_max)
+    for tick in np.linspace(0.0, _Y_MAX, 4):
+        ty = _y_pixel(tick)
         parts.append(f'<line x1="{x0 - 5}" y1="{ty}" x2="{x0}" y2="{ty}" stroke="black"/>')
         parts.append(
             f'<text x="{x0 - 9}" y="{ty + 4}" text-anchor="end" '
@@ -80,7 +80,7 @@ def render_curves_svg(curves, labels, svg_path, *, title, y_max=3.0,
     for i, (curve, label) in enumerate(zip(curves, labels)):
         color = _PALETTE[i % len(_PALETTE)]
         z, pdf, _ = curve.interior()
-        coords = [f"{_x_pixel(zz):.2f} {_y_pixel(pp, y_max):.2f}"
+        coords = [f"{_x_pixel(zz):.2f} {_y_pixel(pp):.2f}"
                   for zz, pp in zip(z, pdf)]
         d = "M " + " L ".join(coords)
         parts.append(f'<path d="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')

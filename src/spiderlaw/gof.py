@@ -135,8 +135,11 @@ def ks_two_sample(a, b, *, name="ks2", seed=0, threshold=0.01,
 # Monte-Carlo transform checks
 # ---------------------------------------------------------------------------
 
-def mc_transform_check(values, target, *, name="mc", seed=0, band=4.0) -> GofReport:
-    """Check |mean(values) - target| <= band * standard error, for a functional
+_MC_BAND = 4.0  # standard errors
+
+
+def mc_transform_check(values, target, *, name="mc", seed=0) -> GofReport:
+    """Check |mean(values) - target| <= 4 standard errors, for a functional
     ``values`` of iid draws made at ``seed``.  The statistic stored is the
     standardised deviation, so the threshold is the band itself."""
     values = np.asarray(values, dtype=float)
@@ -146,7 +149,7 @@ def mc_transform_check(values, target, *, name="mc", seed=0, band=4.0) -> GofRep
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(values.size))
     stat = abs(mean - target) / se if se > 0 else (0.0 if mean == target else math.inf)
-    return GofReport(name, float(stat), None, values.size, 0, seed, float(band), "stat_max")
+    return GofReport(name, float(stat), None, values.size, 0, seed, _MC_BAND, "stat_max")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +160,6 @@ _RUN_EXACT, _RUN_FIXED, _RUN_OCC, _RUN_LT = 0, 1, 2, 3
 
 
 def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
-                               occupation_level=None, local_time_level=None,
                                threshold=0.03, max_discard_fraction=0.01):
     """Compare occupation marginals across stopping rules.
 
@@ -175,15 +177,15 @@ def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
         raise UsageError(f"the occupation identity needs n >= 2 rays: {n}")
     n = int(n)
     config = SpiderConfig(n=n, steps=int(steps), paths=int(paths), seed=int(seed))
-    occ_level = DEFAULT_OCCUPATION_LEVEL if occupation_level is None else occupation_level
-    lt_level = DEFAULT_LOCAL_TIME_LEVEL if local_time_level is None else local_time_level
 
     exact_rng = RngStream(seed, composite_stream_id(_RUN_EXACT, 0))
     vectors = {"exact": sample_occupation_exact(n, exact_rng, size=config.paths)}
     rules = {
         "fixed_time": (StoppingRule.fixed_time(1.0), _RUN_FIXED),
-        "inverse_occupation": (StoppingRule.inverse_occupation(occ_level, ray=2), _RUN_OCC),
-        "inverse_local_time": (StoppingRule.inverse_local_time(lt_level), _RUN_LT),
+        "inverse_occupation": (
+            StoppingRule.inverse_occupation(DEFAULT_OCCUPATION_LEVEL, ray=2), _RUN_OCC),
+        "inverse_local_time": (
+            StoppingRule.inverse_local_time(DEFAULT_LOCAL_TIME_LEVEL), _RUN_LT),
     }
     for label, (rule, run_id) in rules.items():
         batch = stop_batch(config, rule, run_id=run_id)

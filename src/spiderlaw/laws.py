@@ -127,7 +127,7 @@ def _log_ratio_at(z, mu, p):
         return math.log(p / (1.0 - p)) + mu * (np.log1p(-z) - np.log(z))
 
 
-def _integrate_log_ratio(f, mu, lo, hi, cuts=(), local_tol=1e-10):
+def _integrate_log_ratio(f, mu, lo, hi, cuts=()):
     """Integral of f over [lo, hi] in L, cut at the mode 0, at each cut and
     at +-w 4^k below 1, w = 2 cos(pi mu / 2) being about the half-width of
     g_mu's mode, a spike as mu -> 1.  Each piece is a half-line integral
@@ -143,16 +143,16 @@ def _integrate_log_ratio(f, mu, lo, hi, cuts=(), local_tol=1e-10):
         for anchor, sign in ((u, 1.0), (v, -1.0)):
             if math.isfinite(anchor):  # half of a finite piece, or all of an infinite one
                 pieces.append(integrate_half_line(lambda x: f(anchor + sign * x), 0.0,
-                                                  0.5 * (v - u), local_tol=local_tol))
+                                                  0.5 * (v - u)))
     return math.fsum(pieces)
 
 
-def _lamperti_mean(f, mu, p, local_tol=1e-10):
+def _lamperti_mean(f, mu, p):
     """E[A] for A = expit((log(p/q) - L) / mu) with L of density f, cut at
     the step of the expit."""
     shift = math.log(p / (1.0 - p))
     return _integrate_log_ratio(lambda x: _expit((shift - x) / mu) * f(x), mu,
-                                -math.inf, math.inf, (shift,), local_tol)
+                                -math.inf, math.inf, (shift,))
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +293,11 @@ def fractional_moment(s, mu):
 
 class LawKind(str, Enum):
     ARC_SINE = "arcsine"
-    STABLE_RATIO_POWER = "ratio_power"
     STABLE_RATIO_A = "ratio_a"
     SPIDER_OCCUPATION = "spider_occupation"
 
 
-_NEEDS_MU = {LawKind.STABLE_RATIO_POWER, LawKind.STABLE_RATIO_A}
+_NEEDS_MU = {LawKind.STABLE_RATIO_A}
 _NEEDS_N = {LawKind.SPIDER_OCCUPATION}
 
 
@@ -326,15 +325,8 @@ class LawSpec:
         elif self.n is not None:
             raise ParameterDomainError(f"{kind.value} takes no ray count")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.kind is LawKind.STABLE_RATIO_POWER:
-            return (0.0, math.inf)
-        return (0.0, 1.0)
-
     def _lamperti(self):
-        """(mu, p) of a law on [0, 1] as a point of Lamperti's family; the
-        ratio-power law's mu comes with p = 1/2."""
+        """(mu, p) of the law as a point of Lamperti's family."""
         mu = 0.5 if self.mu is None else self.mu
         return mu, 0.5 if self.n is None else 1.0 / self.n
 
@@ -347,15 +339,11 @@ class LawSpec:
     def pdf(self, x):
         if self.kind is LawKind.ARC_SINE:
             return arcsine_pdf(x)
-        if self.kind is LawKind.STABLE_RATIO_POWER:
-            return ratio_power_pdf(x, self.mu)
         return lamperti_pdf(x, *self._lamperti())
 
     def cdf(self, x):
         if self.kind is LawKind.ARC_SINE:
             return arcsine_cdf(x)
-        if self.kind is LawKind.STABLE_RATIO_POWER:
-            return ratio_power_cdf(x, self.mu)
         return lamperti_cdf(x, *self._lamperti())
 
     def label(self) -> str:
@@ -374,25 +362,22 @@ class LawSpec:
         return out
 
 
-def integrate_density(law: LawSpec, a: float, b: float, local_tol=1e-10) -> float:
-    """Integral of the law's density over [a, b] within its support closure,
-    taken over the matching interval of L."""
-    lo, hi = law.support
-    if not (lo <= a <= b <= hi):
-        raise ParameterDomainError(f"[{a}, {b}] outside support [{lo}, {hi}]")
+def integrate_density(law: LawSpec, a: float, b: float) -> float:
+    """Integral of the law's density over [a, b] inside [0, 1], taken over
+    the matching interval of L."""
+    if not (0.0 <= a <= b <= 1.0):
+        raise ParameterDomainError(f"[{a}, {b}] outside support [0, 1]")
     mu, p = law._lamperti()
-    if law.kind is LawKind.STABLE_RATIO_POWER:
-        ends = [math.log(x) if x > 0.0 else -math.inf for x in (a, b)]
-    else:
-        ends = [float(_log_ratio_at(x, mu, p)) for x in (b, a)]
-    return _integrate_log_ratio(law._log_ratio_pdf, mu, *ends, local_tol=local_tol)
+    ends = [float(_log_ratio_at(x, mu, p)) for x in (b, a)]
+    return _integrate_log_ratio(law._log_ratio_pdf, mu, *ends)
 
 
-def density_mean(law: LawSpec, local_tol=1e-10) -> float:
-    """First moment of a law supported on [0, 1]."""
-    if math.isinf(law.support[1]):
-        raise ParameterDomainError("mean helper is for laws on [0, 1]")
-    return _lamperti_mean(law._log_ratio_pdf, *law._lamperti(), local_tol)
+def density_mean(law: LawSpec) -> float:
+    """First moment of the law."""
+    return _lamperti_mean(law._log_ratio_pdf, *law._lamperti())
+
+
+_FD_WINDOW = (0.05, 0.95)  # the z range where validate compares cdf and pdf
 
 
 @dataclass
@@ -412,7 +397,7 @@ class DensityCurve:
     def interior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.grid[1:-1], self.pdf_values[1:-1], self.cdf_values[1:-1]
 
-    def validate(self, fd_window=(0.05, 0.95)):
+    def validate(self):
         if not np.all(np.diff(self.grid) > 0):
             raise ValueError("grid is not strictly increasing")
         if np.any(self.pdf_values < 0):
@@ -427,7 +412,7 @@ class DensityCurve:
         mid = slice(1, len(z) - 1)
         fd = (cdf[2:] - cdf[:-2]) / (z[2:] - z[:-2])
         simpson = (pdf[:-2] + 4.0 * pdf[mid] + pdf[2:]) / 6.0
-        keep = (z[mid] >= fd_window[0]) & (z[mid] <= fd_window[1])
+        keep = (z[mid] >= _FD_WINDOW[0]) & (z[mid] <= _FD_WINDOW[1])
         tol = np.maximum(1e-4, 1e-3 * pdf[mid][keep])
         gap = np.abs(fd[keep] - simpson[keep])
         if np.any(gap > tol):
@@ -438,9 +423,7 @@ class DensityCurve:
 
 
 def build_density_curve(law: LawSpec, interior_points: int = 999) -> DensityCurve:
-    """Tabulate a [0, 1] law on the equispaced interior grid k/(m+1)."""
-    if math.isinf(law.support[1]):
-        raise ParameterDomainError("curves are tabulated for laws on [0, 1] only")
+    """Tabulate the law on the equispaced interior grid k/(m+1)."""
     if interior_points < 3:
         raise ParameterDomainError(f"need at least 3 interior points: {interior_points}")
     m = int(interior_points)

@@ -89,7 +89,7 @@ def adaptive_quadrature(f, a, b, local_tol=1e-10, max_panels=16384):
     return total
 
 
-def integrate_half_line(f, a, b=math.inf, local_tol=1e-10, max_panels=16384):
+def integrate_half_line(f, a, b=math.inf):
     """Integrate ``f`` over [a, b] inside [0, inf) via the y = t/(1-t) map."""
     if a < 0.0 or b < a:
         raise ParameterDomainError(f"interval [{a}, {b}] not inside [0, inf)")
@@ -102,4 +102,4 @@ def integrate_half_line(f, a, b=math.inf, local_tol=1e-10, max_panels=16384):
         y = t / (1.0 - t)
         return f(y) / (1.0 - t) ** 2
 
-    return adaptive_quadrature(g, ta, tb, local_tol=local_tol, max_panels=max_panels)
+    return adaptive_quadrature(g, ta, tb)

@@ -1,9 +1,9 @@
 """Seedable, splittable random streams.
 
-Samplers and verification suites draw through an :class:`RngStream`, a thin
-wrapper over numpy's PCG64 keyed by ``(seed, stream_id)``: identical keys
-reproduce identical sequences bit for bit, and distinct ``stream_id`` values
-yield statistically independent streams.  Walk paths skip the wrapper and key
+Samplers and verification suites draw from ``RngStream.generator``, a numpy
+PCG64 generator keyed by ``(seed, stream_id)``: identical keys reproduce
+identical sequences bit for bit, and distinct ``stream_id`` values yield
+statistically independent streams.  Walk paths skip the wrapper and key
 a Philox generator by the same pair (see :mod:`spiderlaw.walk`).
 
 :func:`composite_stream_id` packs a run index (high 32 bits) and a path index
@@ -61,16 +61,3 @@ class RngStream:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
             self._generator = np.random.Generator(np.random.PCG64(ss))
         return self._generator
-
-    # thin draw helpers; all consume the stream in a fixed documented order
-    def uniform(self, size=None, low=0.0, high=1.0):
-        return self.generator.uniform(low, high, size)
-
-    def normal(self, size=None):
-        return self.generator.standard_normal(size)
-
-    def exponential(self, size=None):
-        return self.generator.standard_exponential(size)
-
-    def cauchy(self, size=None):
-        return self.generator.standard_cauchy(size)

@@ -42,7 +42,10 @@ class BatchMeta:
     redraws: int = 0
 
 
-def _clean(draw, ok, size, meta: BatchMeta | None, max_rounds=64):
+_MAX_REDRAW_ROUNDS = 64
+
+
+def _clean(draw, ok, size, meta: BatchMeta | None):
     """Draw ``size`` values, redrawing entries rejected by ``ok``."""
     n = int(size)
     if n < 0:
@@ -57,7 +60,7 @@ def _clean(draw, ok, size, meta: BatchMeta | None, max_rounds=64):
         values[bad] = draw(k)
         bad = ~ok(values)
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _MAX_REDRAW_ROUNDS:
             raise RuntimeError("sampler failed to produce finite draws")
     return values
 
@@ -78,8 +81,8 @@ def _kanter(mu, rng: RngStream, size, meta: BatchMeta | None):
     """
 
     def draw(k):
-        v = rng.uniform(k, 0.0, np.pi)
-        e = rng.exponential(k)
+        v = rng.generator.uniform(0.0, np.pi, k)
+        e = rng.generator.standard_exponential(k)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_a = (
                 mu * np.log(np.sin(mu * v))
@@ -111,7 +114,7 @@ def sample_stable_half(rng: RngStream, size, meta: BatchMeta | None = None):
     """Stable(1/2) draws as 1 / (2 N**2); Laplace transform exp(-sqrt(lam))."""
 
     def draw(k):
-        n = rng.normal(k)
+        n = rng.generator.standard_normal(k)
         with np.errstate(divide="ignore"):
             return 1.0 / (2.0 * n * n)
 
@@ -165,7 +168,7 @@ def sample_cauchy_spider_marginal(n: int, rng: RngStream, size,
     n = _validate_rays(n)
 
     def draw(k):
-        c = rng.cauchy(k)
+        c = rng.generator.standard_cauchy(k)
         return 1.0 / (1.0 + (n - 1) ** 2 * c * c)
 
     ok = lambda v: np.isfinite(v) & (v > 0.0) & (v <= 1.0)
@@ -189,11 +192,11 @@ def sample_arcsine(rng: RngStream, size, method="cosine",
 
     if method == "cosine":
         def draw(k):
-            return np.cos(rng.uniform(k, 0.0, 2.0 * np.pi)) ** 2
+            return np.cos(rng.generator.uniform(0.0, 2.0 * np.pi, k)) ** 2
     elif method == "normal_ratio":
         def draw(k):
-            a = rng.normal(k) ** 2
-            b = rng.normal(k) ** 2
+            a = rng.generator.standard_normal(k) ** 2
+            b = rng.generator.standard_normal(k) ** 2
             with np.errstate(invalid="ignore"):
                 return a / (a + b)
     elif method == "stable_ratio":
@@ -203,7 +206,7 @@ def sample_arcsine(rng: RngStream, size, method="cosine",
             return t1 / (t1 + t2)
     else:
         def draw(k):
-            c = rng.cauchy(k)
+            c = rng.generator.standard_cauchy(k)
             return 1.0 / (1.0 + c * c)
 
     ok = lambda v: np.isfinite(v) & (v >= 0.0) & (v <= 1.0)

@@ -207,10 +207,6 @@ class StopBatch:
         return self.counts[keep] / self.stopped_step[keep, None]
 
     @property
-    def kept_stopped_steps(self) -> np.ndarray:
-        return self.stopped_step[self.kept]
-
-    @property
     def last_zero_fraction(self) -> np.ndarray:
         """Last origin visit over the stopping time, for the kept paths."""
         keep = self.kept

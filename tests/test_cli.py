@@ -75,9 +75,24 @@ def test_sample_usage_errors(tmp_path, monkeypatch):
 
     monkeypatch.setattr("spiderlaw.cli.run_walk_batch", no_walk)
     walk = ["sample", "--law", "spider-walk", "--n", "3", "--out", out]
-    assert main(walk + ["--steps", "1000", "--paths", "0", "--count", "7"]) == 2
+    assert main(walk + ["--steps", "1000", "--count", "0"]) == 2
     assert main(walk + ["--steps", "999", "--count", "1"]) == 2  # statistical floor
     assert main(walk + ["--steps", str(2 ** 53), "--count", "1"]) == 2
+
+
+def test_sample_out_with_a_dot_keeps_its_name(tmp_path):
+    # ".csv" is appended unless the name already ends in it, so runs named
+    # by their mu do not overwrite one another
+    for mu in ("0.3", "0.5", "0.7"):
+        assert main(["sample", "--law", "ratio-a", "--mu", mu, "--count", "20",
+                     "--out", str(tmp_path / f"ra_{mu}"), "--deterministic"]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(f"ra_{mu}{ext}" for mu in ("0.3", "0.5", "0.7")
+                           for ext in (".csv", ".json", ".manifest.json"))
+    assert json.loads((tmp_path / "ra_0.5.json").read_text())["parameters"] == {"mu": 0.5}
+    assert main(["sample", "--law", "arcsine", "--count", "20",
+                 "--out", str(tmp_path / "x.txt")]) == 0
+    assert (tmp_path / "x.txt.csv").is_file() and (tmp_path / "x.txt.json").is_file()
 
 
 def test_outputs_into_missing_directory(tmp_path):
@@ -230,6 +245,27 @@ def test_figure_spider_outputs(tmp_path):
     lows = [cdf_at[n][0] for n in (2, 3, 4, 5, 8)]
     assert all(a < b for a, b in zip(lows, lows[1:]))
     assert cdf_at[8][0] > 1.0 - cdf_at[8][1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure-ratio", "--mu", "0.1234567,0.1234568"],
+    ["figure-spider", "--n", "3,3"],
+], ids=["ratio-labels-round-alike", "spider-repeated-n"])
+def test_figure_colliding_names_are_rejected(tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran for colliding output names")
+
+    monkeypatch.setattr("spiderlaw.cli.build_density_curve", no_work)
+    assert main(argv + ["--out", str(tmp_path / "f" / "fig")]) == 2
+    assert "share the output" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_figure_manifest_keeps_a_dotted_name(tmp_path):
+    assert main(["figure-spider", "--n", "3", "--out", str(tmp_path / "fs_0.1"),
+                 "--deterministic"]) == 0
+    manifest = json.loads((tmp_path / "fs_0.1.manifest.json").read_text())
+    assert manifest["outputs"][-1] == str(tmp_path / "fs_0.1.svg")
 
 
 def test_figure_usage_error(tmp_path):

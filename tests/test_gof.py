@@ -80,7 +80,7 @@ def test_ks_two_sample_basics():
 
 def test_ks_two_sample_separates_arcsine_from_uniform():
     arc = sample_arcsine(RngStream(7, 3), 10_000)
-    uni = RngStream(7, 4).uniform(10_000)
+    uni = RngStream(7, 4).generator.random(10_000)
     report = ks_two_sample(arc, uni, seed=7)
     # the sup CDF gap between the two laws is ~0.105, far above noise
     assert report.p_value < 1e-6
@@ -95,7 +95,7 @@ def test_p_value_decreases_with_statistic():
 
 
 def test_mc_transform_check_calibration():
-    draws = RngStream(11, 0).normal(200_000)
+    draws = RngStream(11, 0).generator.standard_normal(200_000)
     passes = mc_transform_check(draws, 0.0, name="mean0", seed=11)
     assert passes.passed
     assert (passes.n1, passes.seed) == (200_000, 11)

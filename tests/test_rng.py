@@ -7,21 +7,21 @@ from spiderlaw import ParameterDomainError, RngStream, composite_stream_id
 
 
 def test_same_key_same_sequence():
-    a = RngStream(123, 7).uniform(1000)
-    b = RngStream(123, 7).uniform(1000)
+    a = RngStream(123, 7).generator.random(1000)
+    b = RngStream(123, 7).generator.random(1000)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = RngStream(123, 0).uniform(1000)
-    b = RngStream(123, 1).uniform(1000)
+    a = RngStream(123, 0).generator.random(1000)
+    b = RngStream(123, 1).generator.random(1000)
     assert not np.array_equal(a, b)
 
 
 def test_stream_cross_correlation_small():
     n = 100_000
-    a = RngStream(2024, 0).uniform(n)
-    b = RngStream(2024, 1).uniform(n)
+    a = RngStream(2024, 0).generator.random(n)
+    b = RngStream(2024, 1).generator.random(n)
     corr = abs(np.corrcoef(a, b)[0, 1])
     assert corr <= 4.0 / math.sqrt(n), corr
 

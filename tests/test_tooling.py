@@ -1,12 +1,14 @@
 """The runtime needs numpy alone: the test-only packages stay out of a run,
-and a bare import starts no process machinery."""
+and a bare import starts no process machinery.  The benchmark's tracer still
+finds every call site it rebinds."""
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def _loaded_after(code):
@@ -30,3 +32,27 @@ def test_a_density_run_loads_no_test_only_package():
 
 def test_a_bare_import_loads_no_multiprocessing():
     assert "multiprocessing" not in _loaded_after("import spiderlaw")
+
+
+def test_the_benchmark_tracer_records_its_spans():
+    # perfbench/tracer.py rebinds public names of the package; a rename
+    # there would leave its per-layer metrics silently empty
+    script = (
+        "import json, tracer\n"
+        "t = tracer.install()\n"
+        "from spiderlaw import samplers, suites, walk\n"
+        "from spiderlaw.rng import RngStream\n"
+        "suites.run_suite('densities', 1)\n"
+        "walk.stop_batch(walk.SpiderConfig(n=3, steps=1000, paths=50, seed=1),\n"
+        "                walk.StoppingRule.inverse_local_time(1.0))\n"
+        "samplers.sample_positive_stable(0.5, RngStream(1), 10)\n"
+        "print(json.dumps({'names': sorted({s['name'] for s in t.spans}),\n"
+        "                  'streams': t.streams}))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(ROOT / "perfbench")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    recorded = json.loads(out.splitlines()[-1])
+    assert {"suites.density_suite", "laws.integrate_density", "laws.density_mean",
+            "quadrature.adaptive_quadrature", "walk.inverse_local_time",
+            "samplers.sample_positive_stable"} <= set(recorded["names"])
+    assert recorded["streams"] == 1

@@ -213,7 +213,7 @@ def test_inverse_occupation_pins_target_coordinate():
     assert (pinned == math.floor(level * 2000) + 1).all()
     # the pinned fraction is level*steps/stopped_step up to 1/stopped_step
     assert (np.abs(pinned - level * 2000) <= 1.0).all()
-    assert np.allclose(batch.fractions[:, 0] * batch.kept_stopped_steps, pinned)
+    assert np.allclose(batch.fractions[:, 0] * batch.stopped_step[batch.kept], pinned)
 
 
 def test_stopped_counts_sum_to_stopping_time():
