@@ -30,6 +30,7 @@ from .laws import (
     mellin_transform,
     ratio_A_pdf,
     ratio_power_cdf,
+    spider_cdf,
     spider_pdf,
     stieltjes_transform,
 )
@@ -47,7 +48,8 @@ TRANSFORM_SAMPLES = 1_000_000
 RATIO_POWER_P_MIN = 6.3e-5           # the two-sided normal tail beyond 4 sigma
 
 NORMALIZATION_MUS = tuple(round(0.1 * k, 1) for k in range(1, 10))
-NORMALIZATION_RAYS = tuple(range(2, 11))
+SPIDER_RAYS = tuple(range(2, 11))
+_CDF_Z = 0.25
 MEAN_MUS = (0.25, 0.5, 0.75)
 
 CONVERGENCE_RAYS = (2, 4, 8, 16, 32, 64)
@@ -115,13 +117,12 @@ def transform_suite(seed):
 # ---------------------------------------------------------------------------
 
 def density_suite():
-    """Reduction identities, normalisation and mean identities.
+    """Reduction identities, normalisation, spider CDFs and mean identities.
 
     In L = log(X**mu) the weight p only shifts the integration interval, so
-    a normalisation check over all of [0, 1] integrates g_mu over the whole
-    line whatever p is: ``normalization[spider,n=2..10]`` and
-    ``normalization[ratio_a,mu=0.5]`` all integrate g_{1/2}, print the same
-    statistic bit for bit, and say nothing about n.
+    a normalisation over all of [0, 1] would integrate g_{1/2} for every
+    spider whatever n is.  The spider checks integrate [0, 1/4] instead,
+    against the closed-form ``spider_cdf``, which does depend on n.
     """
     reports = []
     grid = np.arange(1, 1000) / 1000.0
@@ -138,12 +139,12 @@ def density_suite():
         law = LawSpec(LawKind.STABLE_RATIO_A, mu=mu)
         gap = abs(integrate_density(law, 0.0, 1.0) - 1.0)
         reports.append(_deterministic_report(f"normalization[ratio_a,mu={mu}]", gap, 1e-8))
-    for n in NORMALIZATION_RAYS:
+    for n in SPIDER_RAYS:
         law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
-        gap = abs(integrate_density(law, 0.0, 1.0) - 1.0)
-        reports.append(_deterministic_report(f"normalization[spider,n={n}]", gap, 1e-8))
+        gap = abs(integrate_density(law, 0.0, _CDF_Z) - spider_cdf(_CDF_Z, n))
+        reports.append(_deterministic_report(f"cdf[spider,n={n},z={_CDF_Z}]", gap, 1e-8))
 
-    for n in NORMALIZATION_RAYS:
+    for n in SPIDER_RAYS:
         law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
         gap = abs(density_mean(law) - 1.0 / n)
         reports.append(_deterministic_report(f"mean[spider,n={n}]=1/n", gap, 1e-8))

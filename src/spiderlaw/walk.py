@@ -23,8 +23,10 @@ grows with the number of excursions, about sqrt(steps), not with steps.
 
 First-return lengths are inverted exactly from a table up to 2**21 steps,
 so fixed-time laws are exact for horizons of up to 2**21 steps.  Longer
-excursions use the far-tail asymptotic P(T > 2k) ~ (pi k)**-1/2 (1 - 1/(8k)),
-whose inversion is accurate to well under one step.
+excursions use the far-tail asymptotic P(T > 2k) ~ (pi k)**-1/2 (1 - 1/(8k)).
+Against an exact (mpmath) inverse it is exact below k = 2**44; of 1,500
+draws log-uniform in k over (2**20, 2**52), 38 came out one k (two steps)
+long, all at k >= 2**44.7, from float64 rounding in 1/(pi u**2) + 3/4.
 
 Paths draw in rounds of a number of excursions fixed by the configuration
 and the rule.  Round r of path p is Philox4x64-10 (Salmon et al., SC'11)
@@ -49,11 +51,10 @@ from .rng import composite_stream_id
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
-DEFAULT_CAP_MULTIPLIER = 1.0e5
 
 _MAX_RAYS = 32767  # rays are floor(n v); checked to stay below n for all v < 1
 _ROUND_ELEMENTS = 1 << 18  # excursions drawn per round, by one path or a group
-_EXACT_STEPS = 1 << 53  # step totals are float64, exact only up to here
+_EXACT_STEPS = 1 << 53  # step totals are float64, exact only below here
 
 
 # ---------------------------------------------------------------------------
@@ -99,17 +100,11 @@ class StoppingRule:
                             ``level * steps``
     ``inverse_local_time``  stop when the origin-visit count exceeds
                             ``level * sqrt(steps)``
-
-    ``cap_multiplier`` bounds the simulation: a path whose rule has not fired
-    within ``cap_multiplier`` times the rule's nominal horizon is discarded
-    (and counted).  The inverse rules have stable(1/2)-tailed stopping times,
-    so the generous default keeps the discard fraction a few per mille.
     """
 
     kind: str
     level: float
     ray: int | None = None
-    cap_multiplier: float = DEFAULT_CAP_MULTIPLIER
 
     def __post_init__(self):
         if self.kind not in _RULE_KINDS:
@@ -121,22 +116,18 @@ class StoppingRule:
                 raise ParameterDomainError(f"need a 1-based ray index, got {self.ray}")
         elif self.ray is not None:
             raise ParameterDomainError(f"{self.kind} takes no ray index")
-        if not (math.isfinite(self.cap_multiplier) and self.cap_multiplier >= 1.0):
-            raise ParameterDomainError("cap multiplier must be finite and >= 1")
 
     @classmethod
-    def fixed_time(cls, level=1.0, cap_multiplier=DEFAULT_CAP_MULTIPLIER):
-        return cls("fixed_time", level, None, cap_multiplier)
+    def fixed_time(cls, level=1.0):
+        return cls("fixed_time", level)
 
     @classmethod
-    def inverse_occupation(cls, level=DEFAULT_OCCUPATION_LEVEL, ray=1,
-                           cap_multiplier=DEFAULT_CAP_MULTIPLIER):
-        return cls("inverse_occupation", level, ray, cap_multiplier)
+    def inverse_occupation(cls, level=DEFAULT_OCCUPATION_LEVEL, ray=1):
+        return cls("inverse_occupation", level, ray)
 
     @classmethod
-    def inverse_local_time(cls, level=DEFAULT_LOCAL_TIME_LEVEL,
-                           cap_multiplier=DEFAULT_CAP_MULTIPLIER):
-        return cls("inverse_local_time", level, None, cap_multiplier)
+    def inverse_local_time(cls, level=DEFAULT_LOCAL_TIME_LEVEL):
+        return cls("inverse_local_time", level)
 
     def validate_for(self, config: SpiderConfig):
         if self.kind == "inverse_occupation" and self.ray > config.n:
@@ -147,10 +138,10 @@ class StoppingRule:
             raise ParameterDomainError(
                 "local-time level below one origin visit at this lattice scale"
             )
-        if self.kind != "fixed_time" and self.cap_steps(config) > _EXACT_STEPS:
+        if self.nominal_steps(config) >= _EXACT_STEPS:
             raise ParameterDomainError(
-                f"step cap {self.cap_steps(config)} exceeds 2**53, where step "
-                "totals are no longer exact; lower cap_multiplier"
+                f"nominal horizon {self.nominal_steps(config)} steps is not below "
+                "2**53, where step totals are no longer exact"
             )
 
     def nominal_steps(self, config: SpiderConfig) -> int:
@@ -159,9 +150,6 @@ class StoppingRule:
         if self.kind == "inverse_occupation":
             return max(1, round(self.level * config.steps * config.n))
         return max(1, round(self.level * self.level * config.steps))
-
-    def cap_steps(self, config: SpiderConfig) -> int:
-        return int(math.ceil(self.cap_multiplier * self.nominal_steps(config)))
 
     def threshold(self, config: SpiderConfig) -> int:
         """The running total at which the rule fires: steps walked, steps on
@@ -179,6 +167,10 @@ _PLAIN_WALK = StoppingRule.fixed_time(1.0)
 @dataclass
 class StopBatch:
     """Column arrays for a batch of stopped paths; discarded rows are flagged.
+
+    A path is discarded when its step total reaches 2**53, past which float64
+    totals are no longer exact integers: at 20,000 steps, about one stopped
+    by local time in a million.
 
     ``rule`` is None for a plain walk of ``config.steps`` steps.
     """
@@ -240,7 +232,7 @@ def _first_return_lengths(u: np.ndarray) -> np.ndarray:
     inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it everywhere
     in the table, so one step up and one step down against the table make it
     exact there; past the table (lengths over 2**21) the asymptotic value
-    stands.
+    stands, exact below k = 2**44 and at most one k long above it.
     """
     tail = _return_tail_table()
     k = np.multiply(u, u)
@@ -265,7 +257,8 @@ def _block_size(config: SpiderConfig, rule: StoppingRule) -> int:
     The local-time rule needs exactly its threshold.  The other rules stop
     after about sqrt(2 t / pi) excursions for a horizon of t steps, with a
     half-normal spread, so sqrt(t) per round stops most paths in one round.
-    The cap bounds a round's memory; a longer path takes more rounds.
+    ``_ROUND_ELEMENTS`` bounds a round's memory; a longer path takes more
+    rounds.
     """
     if rule.kind == "inverse_local_time":
         block = rule.threshold(config)
@@ -290,7 +283,7 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> di
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     block = _block_size(config, rule)
     thresh = float(rule.threshold(config))
-    cap = float(rule.cap_steps(config))
+    limit = float(_EXACT_STEPS)
 
     counts = np.zeros((m, n))
     progress = np.zeros(m)  # the rule's running total
@@ -343,13 +336,13 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> di
         tau = counts[idx].sum(axis=1)
         zero_visits[idx] = 1 + complete[idx] + ph + exact
         last_zero[idx] = np.where(exact, tau, tau - part)
-        discarded[idx] = tau > cap
+        discarded[idx] = tau >= limit  # a total this large may be rounded
 
         o = rows[~hit]
         idx = alive[o]
         progress[idx] = cum[o, -1]
         complete[idx] += block
-        over = counts[idx].sum(axis=1) > cap
+        over = counts[idx].sum(axis=1) >= limit
         discarded[idx[over]] = True
         alive = idx[~over]
 

@@ -56,3 +56,21 @@ def test_the_benchmark_tracer_records_its_spans():
             "quadrature.adaptive_quadrature", "walk.inverse_local_time",
             "samplers.sample_positive_stable"} <= set(recorded["names"])
     assert recorded["streams"] == 1
+
+
+def test_the_walk_outputs_keep_the_benchmark_contract(monkeypatch, tmp_path):
+    # perfbench/checks.py reads the walk CSV columns, the discard flags and
+    # the run manifest; a break there would otherwise show only in the
+    # benchmark.  Its KS bound is set for 10,000 paths, too tight for 300.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+    import workloads
+
+    monkeypatch.setattr(workloads, "WALK_PATHS", 300)
+    assert workloads.run("inverse_walk", 1, tmp_path) == 0
+    results, counts = checks.check_walk(tmp_path)
+    failed = [(name, detail) for name, ok, detail in results.results
+              if not ok and not name.endswith(":ks_col1_vs_spider_cdf")]
+    assert not failed
+    assert len(counts) == len(workloads.walk_batches())
+    assert all(c["rows"] == c["kept"] + c["discarded"] == 300 for c in counts.values())

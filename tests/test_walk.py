@@ -20,7 +20,9 @@ from spiderlaw import (
     stop_batch,
     verify_occupation_identity,
 )
+from spiderlaw import walk
 from spiderlaw.walk import (
+    _RETURN_TABLE_K,
     _first_return_lengths,
     _return_tail_table,
     run_walk_batch,
@@ -64,24 +66,16 @@ def test_stopping_rule_validation():
         # level so small the rule would fire before the first origin visit
         StoppingRule.inverse_local_time(1e-4).validate_for(
             SpiderConfig(n=2, steps=2000))
-    # a cap past 2**53 steps would leave the float64 totals inexact
-    huge = SpiderConfig(n=2, steps=10 ** 12)
-    StoppingRule.inverse_local_time(1.0, cap_multiplier=9000.0).validate_for(huge)
-    for rule in (StoppingRule.inverse_local_time(1.0),
-                 StoppingRule.inverse_occupation(0.5, ray=1)):
-        with pytest.raises(ParameterDomainError, match="cap_multiplier"):
-            rule.validate_for(huge)
-
-
-@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.5])
-def test_cap_multiplier_must_be_finite_and_at_least_one(cap):
-    # a NaN cap passed the old `cap < 1` test and an infinite one reached
-    # math.ceil inside stop_batch; both now fail at construction
-    for make in (StoppingRule.fixed_time, StoppingRule.inverse_local_time):
-        with pytest.raises(ParameterDomainError, match="cap multiplier"):
-            make(1.0, cap_multiplier=cap)
-    with pytest.raises(ParameterDomainError, match="cap multiplier"):
-        StoppingRule.inverse_occupation(0.5, ray=1, cap_multiplier=cap)
+    # past 2**53 the float64 step totals are no longer exact integers, so no
+    # rule's nominal horizon may reach it
+    huge = SpiderConfig(n=2, steps=2 ** 40)
+    for make, level in ((StoppingRule.fixed_time, 2.0 ** 13),
+                        (StoppingRule.inverse_occupation, 2.0 ** 12),
+                        (StoppingRule.inverse_local_time, 2.0 ** 6.5)):
+        make(level * (1 - 2 ** -20)).validate_for(huge)
+        for too_far in (level, 1e6):  # level: a horizon of 2**53 steps
+            with pytest.raises(ParameterDomainError, match="2\\*\\*53"):
+                make(too_far).validate_for(huge)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +164,23 @@ def test_first_return_lengths_on_unit_interval_edges():
     assert np.isfinite(lengths[2]) and lengths[2] > 2.0 ** 21
 
 
+def test_far_tail_first_return_inversion_is_exact_below_2_44():
+    # past the table the asymptotic inverse stands; for k < 2**44 it is
+    # still the least k with P(T > 2k) < u, P(T > 2k) = (k+1)_{-1/2} / sqrt(pi)
+    from scipy.special import poch
+
+    far_tail = _return_tail_table()[_RETURN_TABLE_K]  # P(T > 2**21)
+    u = far_tail * (1.0 - np.random.default_rng(29).random(20_000))
+    k = _first_return_lengths(u) / 2.0
+    assert (k > _RETURN_TABLE_K).all()
+    checked = k < 2.0 ** 44
+    assert checked.sum() > 19_000
+    k, u = k[checked], u[checked]
+    tail_k, tail_before = (poch(k + 1.0, -0.5) / math.sqrt(math.pi),
+                           poch(k, -0.5) / math.sqrt(math.pi))
+    assert ((tail_k < u) & (u <= tail_before)).all()
+
+
 def test_ray_relabelling_leaves_marginals_unchanged():
     # exchangeability probed across independent batches (coordinates of one
     # path are dependent, so each pool comes from its own run)
@@ -228,16 +239,20 @@ def test_stopped_counts_sum_to_stopping_time():
                               batch.stopped_step[kept].astype(float))
 
 
-def test_tiny_cap_discards_and_raises():
+def test_exactness_bound_discards_and_raises(monkeypatch):
+    # with the float64 bound lowered to twice the local-time horizon, a
+    # share of paths passes it: they are flagged and their fields zeroed
+    monkeypatch.setattr(walk, "_EXACT_STEPS", 2000)
     config = SpiderConfig(n=2, steps=1000, paths=300, seed=47)
-    rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=1.0)
-    batch = stop_batch(config, rule, run_id=6)
-    assert batch.discard_count > 0
+    batch = stop_batch(config, StoppingRule.inverse_local_time(1.0), run_id=6)
+    assert 0.01 * 300 < batch.discard_count < 300
     assert batch.discarded.shape == (300,)
-    # the discard-budget guard trips whenever the observed fraction exceeds it
-    with pytest.raises(UsageError):
-        verify_occupation_identity(2, paths=300, steps=1000, seed=47,
-                                   max_discard_fraction=-1.0)
+    gone = batch.discarded
+    assert (batch.stopped_step[gone] == 0).all() and (batch.counts[gone] == 0).all()
+    assert (batch.stopped_step[~gone] < 2000).all()
+    # the identity check refuses to report past 1% discards
+    with pytest.raises(UsageError, match="2\\*\\*53"):
+        verify_occupation_identity(2, paths=300, steps=1000, seed=47)
 
 
 def test_stop_rules_need_two_rays():
@@ -246,13 +261,13 @@ def test_stop_rules_need_two_rays():
         stop_batch(config, StoppingRule.fixed_time(1.0))
 
 
-def _stepwise_reference(n, steps, rule, level, ray_j, cap, paths, seed):
+def _stepwise_reference(n, steps, rule, level, ray_j, horizon_steps, paths, seed):
     """Honest per-step reference walk, all paths at once, one uniform per step.
 
     At the origin a path takes the ray floor(n u); elsewhere it steps
     outwards when u < 1/2.  Returns (first-ray fraction, last-zero fraction,
-    zero visits) of the paths that stop within ``cap`` steps; the others are
-    dropped, as the engine discards them.
+    zero visits) of the paths that stop within ``horizon_steps`` steps; the
+    others are dropped.
     """
     rng = np.random.default_rng(seed)
     counts = np.zeros((paths, n), dtype=np.int64)
@@ -264,7 +279,7 @@ def _stepwise_reference(n, steps, rule, level, ray_j, cap, paths, seed):
     occ_threshold = math.floor(level * steps) + 1
     lt_threshold = math.floor(level * math.sqrt(steps))
     done = []
-    for t in range(1, cap + 1):
+    for t in range(1, horizon_steps + 1):
         if not d.size:
             break
         u = rng.random(d.size)
@@ -292,25 +307,26 @@ def _stepwise_reference(n, steps, rule, level, ray_j, cap, paths, seed):
 
 @pytest.mark.parametrize("rule_kind", ["lt", "occ", "fixed"])
 def test_excursion_engine_matches_stepwise_reference(rule_kind):
-    # same cap on both sides, so truncation affects both marginals identically
-    n, steps, paths, cap_mult = 3, 1000, 2500, 50.0
+    # both sides conditioned on tau <= horizon, which the stepwise walk reaches
+    n, steps, paths = 3, 1000, 2500
     config = SpiderConfig(n=n, steps=steps, paths=paths, seed=53)
     if rule_kind == "lt":
-        rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=cap_mult)
+        rule = StoppingRule.inverse_local_time(1.0)
     elif rule_kind == "occ":
-        rule = StoppingRule.inverse_occupation(0.5, ray=2, cap_multiplier=cap_mult)
+        rule = StoppingRule.inverse_occupation(0.5, ray=2)
     else:
-        rule = StoppingRule.fixed_time(1.0, cap_multiplier=cap_mult)
+        rule = StoppingRule.fixed_time(1.0)
+    horizon = 50 * rule.nominal_steps(config)
     batch = stop_batch(config, rule, run_id=1)
-    kept = batch.kept
-    ours = {"fraction": batch.fractions[:, 0]}
+    within = batch.kept & (batch.stopped_step <= horizon)
+    ours = {"fraction": batch.counts[within, 0] / batch.stopped_step[within]}
     if rule_kind == "fixed":
-        ours["last_zero"] = batch.last_zero_step[kept] / batch.stopped_step[kept]
-        ours["zero_visits"] = batch.zero_visits[kept]
+        ours["last_zero"] = batch.last_zero_step[within] / batch.stopped_step[within]
+        ours["zero_visits"] = batch.zero_visits[within]
 
     ref = _stepwise_reference(n, steps, rule_kind, rule.level,
                               1 if rule_kind == "occ" else None,
-                              rule.cap_steps(config), paths, seed=54)
+                              horizon, paths, seed=54)
     ref = dict(zip(("fraction", "last_zero", "zero_visits"), ref.T))
     for key, values in ours.items():
         report = ks_two_sample(values, ref[key], seed=53,
@@ -318,16 +334,16 @@ def test_excursion_engine_matches_stepwise_reference(rule_kind):
         assert report.passed, (report.test_name, report.statistic, report.p_value)
 
 
-def _exact_two_ray_law(steps, kind, level, ray_j, cap):
+def _exact_two_ray_law(steps, kind, level, ray_j, horizon):
     """Exact law of the stopped two-ray walk, by enumerating every path.
 
     With two rays every step is a fair coin: at the origin it picks the ray,
-    elsewhere it steps in or out.  All 2**cap coin sequences are walked for
-    ``cap`` steps; a path's outcome is (ray-1 count, ray-2 count, zero
-    visits, last zero) when the rule fires within the cap, else None.
-    Returns {outcome: probability}.
+    elsewhere it steps in or out.  All 2**horizon coin sequences are walked
+    for ``horizon`` steps; a path's outcome is (ray-1 count, ray-2 count,
+    zero visits, last zero) when the rule fires within the horizon, else
+    None (tau > horizon).  Returns {outcome: probability}.
     """
-    coins = np.arange(1 << cap, dtype=np.int64)
+    coins = np.arange(1 << horizon, dtype=np.int64)
     size = coins.size
     counts = np.zeros((size, 2), dtype=np.int64)
     d = np.zeros(size, dtype=np.int64)
@@ -336,7 +352,7 @@ def _exact_two_ray_law(steps, kind, level, ray_j, cap):
     last_zero = np.zeros(size, dtype=np.int64)
     stopped = np.zeros(size, dtype=bool)
     outcome = np.zeros((size, 4), dtype=np.int64)
-    for t in range(1, cap + 1):
+    for t in range(1, horizon + 1):
         coin = (coins >> (t - 1)) & 1
         at_origin = d == 0
         ray = np.where(at_origin, coin, ray)
@@ -364,26 +380,28 @@ def _exact_two_ray_law(steps, kind, level, ray_j, cap):
 @pytest.mark.parametrize("steps", [6, 7])
 @pytest.mark.parametrize("kind", ["fixed_time", "inverse_occupation", "inverse_local_time"])
 def test_engine_matches_exact_two_ray_law(kind, steps):
-    # chi-square of the joint law of (counts, zero_visits, last_zero, discarded)
-    # against exact enumeration; the rarest cells are pooled until the pool
-    # expects at least 5 paths
+    # chi-square of the joint law of (counts, zero_visits, last_zero), with
+    # every path stopped past the enumeration horizon H in one cell, against
+    # exact enumeration; the rarest cells are pooled until the pool expects
+    # at least 5 paths
     paths, p_min = 100_000, 1e-3
     if kind == "fixed_time":
-        rule = StoppingRule.fixed_time(1.0, cap_multiplier=1.0)
+        rule, horizon = StoppingRule.fixed_time(1.0), 7
     elif kind == "inverse_occupation":
-        rule = StoppingRule.inverse_occupation(0.5, ray=2, cap_multiplier=2.5)
+        rule, horizon = StoppingRule.inverse_occupation(0.5, ray=2), 18
     else:
-        rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=2.5)
+        rule, horizon = StoppingRule.inverse_local_time(1.0), 18
     config = SpiderConfig(n=2, steps=steps, paths=paths, seed=83)
-    law = _exact_two_ray_law(steps, kind, rule.level, rule.ray, rule.cap_steps(config))
+    law = _exact_two_ray_law(steps, kind, rule.level, rule.ray, horizon)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
     batch = stop_batch(config, rule, run_id=steps)
     rows = np.column_stack([batch.counts.astype(np.int64), batch.zero_visits,
                             batch.last_zero_step])
+    beyond = batch.discarded | (batch.stopped_step > horizon)
     observed = {}
-    for row, gone in zip(map(tuple, rows.tolist()), batch.discarded.tolist()):
-        key = None if gone else row
+    for row, far in zip(map(tuple, rows.tolist()), beyond.tolist()):
+        key = None if far else row
         observed[key] = observed.get(key, 0) + 1
     assert set(observed) <= set(law), set(observed) - set(law)
 
@@ -417,7 +435,7 @@ def test_local_time_proxy_scales_like_a_constant():
 # batch output files
 # ---------------------------------------------------------------------------
 
-def test_batch_csv_and_manifest(tmp_path):
+def test_batch_csv_and_manifest(monkeypatch, tmp_path):
     config = SpiderConfig(n=3, steps=1200, paths=50, seed=61)
     csv_path = tmp_path / "walk.csv"
     manifest_path = tmp_path / "walk.run.json"
@@ -433,8 +451,10 @@ def test_batch_csv_and_manifest(tmp_path):
     assert manifest["paths"] == 50 and manifest["rule"] is None
     assert manifest["discard_count"] == 0
 
-    rule = StoppingRule.inverse_local_time(1.0, cap_multiplier=1.0)
-    stopped = stop_batch(config, rule, run_id=6)
+    # a bound lowered to the local-time horizon discards a share of paths
+    monkeypatch.setattr(walk, "_EXACT_STEPS", config.steps + 1)
+    stopped = stop_batch(config, StoppingRule.inverse_local_time(1.0), run_id=6)
+    assert stopped.discard_count > 0
     stop_csv = tmp_path / "stopped.csv"
     write_batch_csv(stop_csv, stopped)
     write_run_manifest(tmp_path / "stopped.run.json", stopped, None)
