@@ -16,3 +16,7 @@ class NonFiniteSamplesError(RuntimeError):
         super().__init__(f"{count} of {total} functional values are non-finite")
         self.count = count
         self.total = total
+
+    def __reduce__(self):
+        # rebuild from the fields, so a worker's error unpickles in its caller
+        return type(self), (self.count, self.total)

@@ -1,5 +1,10 @@
 """Independent tasks keyed by index, run on the process's usable CPUs.
 
+Its callers are CSV chunk formatting, walk path groups, and ``verify``'s
+report groups (the transform batches and the occupation identity per ray
+count).  A walk batch run inside a ``verify`` task maps its path groups
+serially in that worker, by the daemon rule below.
+
 ``ordered_map(fn, count)`` yields ``fn(0), ..., fn(count - 1)`` in index
 order.  Each task must be a pure function of its index, so the results, and
 every byte written from them, do not depend on how many processes ran them.

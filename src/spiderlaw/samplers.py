@@ -83,13 +83,21 @@ def _kanter(mu, rng: RngStream, size, meta: BatchMeta | None):
     def draw(k):
         v = rng.generator.uniform(0.0, np.pi, k)
         e = rng.generator.standard_exponential(k)
+        # (mu log sin(mu v) + (1-mu) log sin((1-mu) v) - log sin v) / (1-mu) - log e,
+        # the same ufuncs in the same order, in place: two arrays beside v and e
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_a = (
-                mu * np.log(np.sin(mu * v))
-                + (1.0 - mu) * np.log(np.sin((1.0 - mu) * v))
-                - np.log(np.sin(v))
-            ) / (1.0 - mu)
-            return log_a - np.log(e)
+            log_a = np.multiply(mu, v)
+            np.log(np.sin(log_a, out=log_a), out=log_a)
+            log_a *= mu
+            b = np.multiply(1.0 - mu, v)
+            np.log(np.sin(b, out=b), out=b)
+            b *= 1.0 - mu
+            log_a += b
+            np.log(np.sin(v, out=v), out=v)
+            log_a -= v
+            log_a /= 1.0 - mu
+            log_a -= np.log(e, out=e)
+            return log_a
 
     return _clean(draw, np.isfinite, size, meta)
 
@@ -99,15 +107,17 @@ def _log_ratio(mu, rng: RngStream, size, meta: BatchMeta | None):
     log(S / S') = (1 - mu) / mu times the result.  It is finite for every mu,
     even where log S itself is not a float."""
     log_s = _kanter(mu, rng, size, meta)
-    return log_s - _kanter(mu, rng, size, meta)
+    log_s -= _kanter(mu, rng, size, meta)
+    return log_s
 
 
 def sample_positive_stable(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """One-sided stable(mu) draws with E[exp(-lam S)] = exp(-lam**mu)."""
     mu = _validate_mu(mu)
-    log_s = (1.0 - mu) / mu * _kanter(mu, rng, size, meta)
+    s = _kanter(mu, rng, size, meta)
+    s *= (1.0 - mu) / mu
     with np.errstate(over="ignore"):
-        return np.exp(log_s)
+        return np.exp(s, out=s)
 
 
 def sample_stable_half(rng: RngStream, size, meta: BatchMeta | None = None):
@@ -124,9 +134,10 @@ def sample_stable_half(rng: RngStream, size, meta: BatchMeta | None = None):
 def sample_ratio_X(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """Ratio X = S / S' of two independent stable(mu) draws."""
     mu = _validate_mu(mu)
-    log_x = (1.0 - mu) / mu * _log_ratio(mu, rng, size, meta)
+    x = _log_ratio(mu, rng, size, meta)
+    x *= (1.0 - mu) / mu
     with np.errstate(over="ignore"):
-        return np.exp(log_x)
+        return np.exp(x, out=x)
 
 
 def sample_ratio_power(mu, rng: RngStream, size, meta: BatchMeta | None = None):

@@ -5,9 +5,18 @@ Each suite is a function of its seed alone and returns a list of
 constants below, not arguments: the statistical checks run at documented
 sizes with seeds recorded in every report, so a failure is reproducible
 rather than flaky.
+
+The seeded suites are lists of tasks, each a pure function of the seed that
+returns its own reports: one per (mu, batch) of transform draws and one per
+ray count of the occupation identity.  ``parallel.ordered_map`` runs them on
+the usable CPUs and the reports are joined in task order, so they are the
+same bytes for any CPU count; ``run_suite("all")`` runs all of them as one
+map, after the deterministic suites in the calling process.  Maps nested in
+a task (the walk path groups of ``stop_batch``) run serially in its worker.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -34,6 +43,7 @@ from .laws import (
     spider_pdf,
     stieltjes_transform,
 )
+from .parallel import ordered_map
 from .rng import RngStream, composite_stream_id
 from .samplers import sample_positive_stable, sample_ratio_X
 
@@ -71,45 +81,76 @@ def _deterministic_report(name, gap, tol) -> GofReport:
     return GofReport(name, float(gap), None, 0, 0, 0, float(tol), "stat_max")
 
 
+def _reports(tasks):
+    """Run zero-argument tasks that each return a list of reports as one
+    ordered map over the usable CPUs; their lists joined in task order."""
+    return [r for part in ordered_map(lambda i: tasks[i](), len(tasks)) for r in part]
+
+
 # ---------------------------------------------------------------------------
 # seeded Monte-Carlo transform checks
 # ---------------------------------------------------------------------------
 
-def transform_suite(seed):
+def _stable_checks(seed, mu, index):
+    """Laplace and fractional-moment bands of one batch of stable draws S."""
+    s = sample_positive_stable(mu, _stream(seed, index), TRANSFORM_SAMPLES)
+    buf = np.empty_like(s)
+    reports = []
+    for lam in LAPLACE_LAMBDAS:
+        np.exp(np.multiply(s, -lam, out=buf), out=buf)
+        reports.append(mc_transform_check(
+            buf, math.exp(-lam ** mu), name=f"laplace[mu={mu},lam={lam}]", seed=seed))
+    for order in MOMENT_ORDERS:
+        reports.append(mc_transform_check(
+            np.power(s, mu * order, out=buf), fractional_moment(order, mu),
+            name=f"moment[mu={mu},s={order}]", seed=seed))
+    return reports
+
+
+def _ratio_checks(seed, mu, index):
+    """Stieltjes and Mellin bands of one batch of ratios X = S / S', and the
+    KS test of X^mu against its closed-form CDF."""
+    x = sample_ratio_X(mu, _stream(seed, index), TRANSFORM_SAMPLES)
+    buf = np.empty_like(x)
+    reports = []
+    for t in STIELTJES_S:
+        np.multiply(x, t, out=buf)
+        buf += 1.0
+        reports.append(mc_transform_check(
+            np.divide(1.0, buf, out=buf), stieltjes_transform(t, mu),
+            name=f"stieltjes[mu={mu},s={t}]", seed=seed))
+    for frac in MELLIN_FRACTIONS:
+        reports.append(mc_transform_check(
+            np.power(x, frac * mu, out=buf), mellin_transform(frac * mu, mu),
+            name=f"mellin[mu={mu},s={frac * mu:g}]", seed=seed))
+    del buf
+    x **= mu
+    reports.append(ks_one_sample(
+        x, lambda y: ratio_power_cdf(y, mu), name=f"ratio_power_ks[mu={mu}]",
+        seed=seed, threshold=RATIO_POWER_P_MIN,
+    ))
+    return reports
+
+
+def transform_tasks(seed):
     """Laplace, Stieltjes, Mellin and fractional-moment bands at 4 sigma, and
     a KS test of X^mu, whose mean is infinite, against its closed-form CDF.
 
-    Per mu, one batch of stable draws S serves the Laplace and moment checks,
-    then one batch of ratios X = S / S' the others; one batch is held at a
-    time.  Reports within one mu share their draws, so they are correlated.
+    Per mu, one task draws a batch of stable draws S on stream 2k for the
+    Laplace and moment checks, and one a batch of ratios X = S / S' on
+    stream 2k + 1 for the others.  Reports within one task share their
+    draws, so they are correlated.
     """
-    reports = []
-
-    def band(name, values, target):
-        reports.append(mc_transform_check(values, target, name=name, seed=seed))
-
+    tasks = []
     for k, mu in enumerate(TRANSFORM_MUS):
-        s = sample_positive_stable(mu, _stream(seed, 2 * k), TRANSFORM_SAMPLES)
-        for lam in LAPLACE_LAMBDAS:
-            band(f"laplace[mu={mu},lam={lam}]", np.exp(-lam * s), math.exp(-lam ** mu))
-        for order in MOMENT_ORDERS:
-            band(f"moment[mu={mu},s={order}]", s ** (mu * order),
-                 fractional_moment(order, mu))
-        del s
-        x = sample_ratio_X(mu, _stream(seed, 2 * k + 1), TRANSFORM_SAMPLES)
-        for t in STIELTJES_S:
-            band(f"stieltjes[mu={mu},s={t}]", 1.0 / (1.0 + t * x),
-                 stieltjes_transform(t, mu))
-        for frac in MELLIN_FRACTIONS:
-            band(f"mellin[mu={mu},s={frac * mu:g}]", x ** (frac * mu),
-                 mellin_transform(frac * mu, mu))
-        x **= mu
-        reports.append(ks_one_sample(
-            x, lambda y, mu=mu: ratio_power_cdf(y, mu), name=f"ratio_power_ks[mu={mu}]",
-            seed=seed, threshold=RATIO_POWER_P_MIN,
-        ))
-        del x
-    return reports
+        tasks.append(functools.partial(_stable_checks, seed, mu, 2 * k))
+        tasks.append(functools.partial(_ratio_checks, seed, mu, 2 * k + 1))
+    return tasks
+
+
+def transform_suite(seed):
+    """The transform checks in :func:`transform_tasks` order."""
+    return _reports(transform_tasks(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +200,16 @@ def density_suite():
 # occupation identity and the deterministic convergence curve
 # ---------------------------------------------------------------------------
 
+def occupation_tasks(seed):
+    """One task per ray count: the occupation identity across stopping rules."""
+    return [functools.partial(verify_occupation_identity, n, paths=_OCCUPATION_PATHS,
+                              steps=_OCCUPATION_STEPS, seed=seed)
+            for n in OCCUPATION_RAYS]
+
+
 def occupation_suite(seed):
-    reports = []
-    for n in OCCUPATION_RAYS:
-        reports.extend(verify_occupation_identity(
-            n, paths=_OCCUPATION_PATHS, steps=_OCCUPATION_STEPS, seed=seed))
-    return reports
+    """The occupation identity at each ray count, in :func:`occupation_tasks` order."""
+    return _reports(occupation_tasks(seed))
 
 
 def convergence_suite():
@@ -199,7 +244,6 @@ def run_suite(name, seed):
         reports = density_suite()
         conv, points = convergence_suite()
         reports += conv
-        reports += transform_suite(seed)
-        reports += occupation_suite(seed)
+        reports += _reports(transform_tasks(seed) + occupation_tasks(seed))
         return reports, {"points": points}
     raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

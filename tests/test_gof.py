@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -114,7 +115,8 @@ def test_mc_transform_check_rejects_nonfinite():
 def test_transform_suite_draw_budget(monkeypatch):
     # per mu one stable batch and one ratio batch (two stable batches):
     # 3 mu x 3 batches x 1e6 = 9e6 Kanter draws for 30 reports of 1e6 each,
-    # counted at the kernel that every stable-based sampler draws through
+    # counted at the kernel that every stable-based sampler draws through,
+    # on one CPU, so that every draw is made in this process
     import spiderlaw.samplers as samplers
     import spiderlaw.suites as suites
 
@@ -126,6 +128,7 @@ def test_transform_suite_draw_budget(monkeypatch):
         return real(mu, rng, size, meta)
 
     monkeypatch.setattr(samplers, "_kanter", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     reports = suites.transform_suite(3)
     assert len(reports) == 30
     assert all(r.n1 == 1_000_000 and r.seed == 3 for r in reports)

@@ -1,12 +1,14 @@
-"""The ordered fork map behind CSV writing and walk path groups.
+"""The ordered fork map behind CSV writing, walk path groups and ``verify``.
 
 The worker count comes from the CPU affinity mask, which each test patches.
 Every table and column must be identical to the serial one at any count, and
 the serial cases must fork nothing: there ``multiprocessing.get_context``
 is made to fail.
 """
+import contextlib
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -22,7 +24,7 @@ from spiderlaw import (
     simulate_batch,
     stop_batch,
 )
-from spiderlaw import output, walk
+from spiderlaw import errors, output, suites, walk
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
 from spiderlaw.parallel import ordered_map
@@ -48,6 +50,8 @@ def _pool_sizes(monkeypatch) -> list:
             self.ctx = real(method)
 
         def Pool(self, processes, **kwargs):
+            if multiprocessing.current_process().daemon:
+                raise AssertionError("a pool was nested in a pool worker")
             sizes.append(processes)
             return self.ctx.Pool(processes, **kwargs)
 
@@ -57,6 +61,21 @@ def _pool_sizes(monkeypatch) -> list:
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a serial map started a pool")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when a map never returns."""
+    def expire(signum, frame):
+        raise AssertionError(f"the map did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +108,39 @@ def test_task_exception_keeps_its_type(monkeypatch, cpus):
 
     with pytest.raises(TaskFailed, match="task 3"):
         list(ordered_map(task, 8))
+
+
+# one instance of every exception class in spiderlaw.errors
+_ERRORS = {
+    errors.ParameterDomainError: ("mu must lie in (0, 1)",),
+    errors.UsageError: ("need at least 10 samples",),
+    errors.NonFiniteSamplesError: (3, 10),
+}
+
+
+def test_every_package_error_reaches_the_caller_whole(monkeypatch):
+    # an error that failed to unpickle would stop the pool's result thread,
+    # and the map would wait for ever
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)
+               and c.__module__ == errors.__name__}
+    assert defined == set(_ERRORS)
+    _use_cpus(monkeypatch, 2)
+    sizes = _pool_sizes(monkeypatch)
+    for cls, args in _ERRORS.items():
+        def task(i):
+            if i == 3:
+                raise cls(*args)
+            return i
+
+        expected = cls(*args)
+        with _deadline(30), pytest.raises(cls) as caught:
+            list(ordered_map(task, 8))
+        assert type(caught.value) is cls
+        assert caught.value.args == expected.args
+        assert vars(caught.value) == vars(expected)
+        assert str(caught.value) == str(expected)
+    assert sizes == [2] * len(_ERRORS)
 
 
 def test_cpu_count_stands_in_for_a_missing_affinity_mask(monkeypatch):
@@ -210,3 +262,23 @@ def test_walk_columns_do_not_depend_on_the_cpu_count(monkeypatch, kind):
     assert sizes == [2, groups // 2]
     if kind == "inverse_local_time":
         assert 0 < reference.discard_count < config.paths
+
+
+# ---------------------------------------------------------------------------
+# verify: the reports do not depend on the CPU count
+# ---------------------------------------------------------------------------
+
+def test_verify_reports_do_not_depend_on_the_cpu_count(monkeypatch):
+    # 6 transform tasks and 2 occupation tasks make one map of 8 tasks; the
+    # walk maps inside the occupation tasks run serially in their workers
+    monkeypatch.setattr(suites, "TRANSFORM_SAMPLES", 20_000)
+    monkeypatch.setattr(suites, "_OCCUPATION_PATHS", 200)
+    sizes = _pool_sizes(monkeypatch)
+    lines = {}
+    for cpus in CPUS:
+        _use_cpus(monkeypatch, cpus)
+        reports, _ = suites.run_suite("all", 5)
+        lines[cpus] = [r.to_json_line() for r in reports]
+    assert sizes == [2, 4]
+    assert lines[2] == lines[1] and lines[64] == lines[1]
+    assert len(lines[1]) == 85
