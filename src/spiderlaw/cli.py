@@ -94,22 +94,36 @@ def _parse_list(text, kind) -> list:
 # sample
 # ---------------------------------------------------------------------------
 
-_LAWS = (
-    "arcsine", "stable", "stable-half", "ratio-power", "ratio-a",
-    "occupation", "spider-marginal", "spider-walk",
-)
+# law -> (the options it takes besides --count, its draw given those options);
+# the walk writes its own outputs.  The draws look their samplers up when
+# called, so a caller may rebind the module's names.
+_LAWS = {
+    "arcsine": ((), lambda rng, count, meta: sample_arcsine(rng, count, meta=meta)),
+    "stable": (("mu",), lambda rng, count, meta, mu:
+               sample_positive_stable(mu, rng, count, meta=meta)),
+    "stable-half": ((), lambda rng, count, meta: sample_stable_half(rng, count, meta=meta)),
+    "ratio-power": (("mu",), lambda rng, count, meta, mu:
+                    sample_ratio_power(mu, rng, count, meta=meta)),
+    "ratio-a": (("mu",), lambda rng, count, meta, mu:
+                sample_ratio_A(mu, rng, count, meta=meta)),
+    "occupation": (("n",), lambda rng, count, meta, n:
+                   sample_occupation_exact(n, rng, count, meta=meta)),
+    "spider-marginal": (("n",), lambda rng, count, meta, n:
+                        sample_cauchy_spider_marginal(n, rng, count, meta=meta)),
+    "spider-walk": (("n", "steps"), None),
+}
+_LAW_OPTIONS = ("mu", "n", "steps")
 
 
-def _require_mu(args) -> float:
-    if args.mu is None:
-        raise UsageError(f"--law {args.law} requires --mu")
-    return args.mu
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise UsageError(f"--law {args.law} requires --n")
-    return args.n
+def _law_parameters(args) -> dict:
+    """The options the law takes, each required; any other is an error."""
+    takes = set(_LAWS[args.law][0])
+    given = {opt for opt in _LAW_OPTIONS if getattr(args, opt) is not None}
+    for problem, opts in (("takes no", given - takes), ("requires", takes - given)):
+        if opts:
+            raise UsageError(f"--law {args.law} {problem} "
+                             + ", ".join(f"--{opt}" for opt in sorted(opts)))
+    return {opt: getattr(args, opt) for opt in _LAWS[args.law][0]}
 
 
 def cmd_sample(args) -> int:
@@ -119,6 +133,7 @@ def cmd_sample(args) -> int:
         raise UsageError("--count is required")
     if count < 1:
         raise UsageError(f"sample count must be positive: {count}")
+    parameters = _law_parameters(args)
     out = Path(args.out)
     csv_path = prepare_out(out if out.name.endswith(".csv") else out.parent / f"{out.name}.csv")
     # every declared output is checked before any draw: the sidecar (a
@@ -127,53 +142,23 @@ def cmd_sample(args) -> int:
         ".run.json" if args.law == "spider-walk" else ".json"))
     manifest_path = prepare_out(csv_path.with_suffix(".manifest.json"))
     manifest = RunManifest.begin(
-        "sample",
-        {"law": args.law, "mu": args.mu, "n": args.n, "count": count,
-         "steps": args.steps},
-        seed, args.deterministic,
-    )
-    meta = BatchMeta()
-    rng = RngStream(seed, composite_stream_id(_SAMPLE_RUN_ID, 0))
+        "sample", {"law": args.law, **parameters, "count": count}, seed, args.deterministic)
 
-    if args.law == "spider-walk":
-        n = _require_n(args)
-        if args.steps is None:
-            raise UsageError("--law spider-walk requires --steps")
+    draw = _LAWS[args.law][1]
+    if draw is None:
         if args.steps < 1000:  # a coarser lattice is too far from the limit laws
             raise UsageError(f"--law spider-walk needs --steps >= 1000: {args.steps}")
-        config = SpiderConfig(n=n, steps=args.steps, paths=count, seed=seed)
+        config = SpiderConfig(n=args.n, steps=args.steps, paths=count, seed=seed)
         run_walk_batch(config, None, csv_path, json_path,
                        record_wall_time=not args.deterministic)
         manifest.outputs += [str(csv_path), str(json_path)]
-        manifest.finish(manifest_path, args.deterministic)
-        return 0
-
-    parameters: dict = {}
-    if args.law == "arcsine":
-        values = sample_arcsine(rng, count, meta=meta)
-    elif args.law == "stable":
-        parameters = {"mu": _require_mu(args)}
-        values = sample_positive_stable(parameters["mu"], rng, count, meta=meta)
-    elif args.law == "stable-half":
-        values = sample_stable_half(rng, count, meta=meta)
-    elif args.law == "ratio-power":
-        parameters = {"mu": _require_mu(args)}
-        values = sample_ratio_power(parameters["mu"], rng, count, meta=meta)
-    elif args.law == "ratio-a":
-        parameters = {"mu": _require_mu(args)}
-        values = sample_ratio_A(parameters["mu"], rng, count, meta=meta)
-    elif args.law == "occupation":
-        parameters = {"n": _require_n(args)}
-        values = sample_occupation_exact(parameters["n"], rng, count, meta=meta)
-    elif args.law == "spider-marginal":
-        parameters = {"n": _require_n(args)}
-        values = sample_cauchy_spider_marginal(parameters["n"], rng, count, meta=meta)
     else:
-        raise UsageError(f"unknown law {args.law!r}")
-
-    sidecar = save_sample_batch(csv_path, values, args.law.replace("-", "_"),
-                                parameters, seed, meta=meta)
-    manifest.outputs += [str(csv_path), sidecar]
+        meta = BatchMeta()
+        values = draw(RngStream(seed, composite_stream_id(_SAMPLE_RUN_ID, 0)), count, meta,
+                      **parameters)
+        sidecar = save_sample_batch(csv_path, values, args.law.replace("-", "_"),
+                                    parameters, seed, meta=meta)
+        manifest.outputs += [str(csv_path), sidecar]
     manifest.finish(manifest_path, args.deterministic)
     return 0
 

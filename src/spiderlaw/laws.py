@@ -20,8 +20,10 @@ samplers draw, is symmetric and smooth with density
 Y = X**mu = e^L and A = expit((log(p/q) - L) / mu).  The pdfs evaluate g_mu
 from their powers; :func:`integrate_density` and :func:`density_mean`
 integrate in L, where no law has an endpoint singularity, every tail decays
-like e^-|L| and p only moves the interval.  The distribution functions
-reduce to arctangents, each cross-checked against quadrature in the tests.
+like e^-|L| and p only moves the interval.  Every distribution function is
+one tail of L, P(L >= |x|) = arctan(2 s c t / (c^2 (1 + t) + s^2 (1 - t)))
+/ (pi mu) with t = e^-|x| and (s, c) the sine and cosine of pi mu / 2, or
+one minus it; the tests check it against mpmath over the whole domain.
 """
 from __future__ import annotations
 
@@ -32,13 +34,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterDomainError, UsageError
-from .gammafn import gamma
 from .quadrature import integrate_half_line
 
 
-_FLOAT_MAX = np.finfo(float).max
-_SMALL_MU = 1e-5  # below it ratio_power_cdf uses its mu -> 0 limit
 _TINY_Y = 2.0 ** -600  # below it ratio_power_pdf is its y = 0 value to the last bit
+_TINY = np.finfo(float).tiny
 
 
 def _validate_mu(mu):
@@ -62,7 +62,7 @@ def _validate_rays(n):
 
 
 def _as_array(x, name, low, high, *, open_low=False, open_high=False):
-    arr = np.asarray(x, dtype=float)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
     too_low = (arr <= low) if open_low else (arr < low)
     too_high = (arr >= high) if open_high else (arr > high)
     if np.any(too_low | too_high | ~np.isfinite(arr)):
@@ -73,19 +73,23 @@ def _as_array(x, name, low, high, *, open_low=False, open_high=False):
 
 
 def _scalar_like(x, arr):
-    return float(arr) if np.ndim(x) == 0 else arr
+    return float(arr.reshape(())) if np.ndim(x) == 0 else arr
 
 
 # ---------------------------------------------------------------------------
 # the law of L = mu log(S/S'), which every other law here is an image of
 # ---------------------------------------------------------------------------
 
-def _sin_cos(mu):
-    """sin(pi mu) and cos(pi mu / 2), from 1 - mu when mu > 1/2, where both
-    are small and pi mu would carry its rounding error into them."""
+def _trig(mu):
+    """sin(pi mu) / (pi mu), sin(pi mu / 2) and cos(pi mu / 2), from 1 - mu
+    when mu > 1/2, where sin(pi mu) and cos(pi mu / 2) are small and pi mu
+    would carry its rounding error into them.  The first is 1 to the last
+    bit at a subnormal mu, where pi mu and sin(pi mu) round alike."""
     if mu > 0.5:
-        return math.sin(math.pi * (1.0 - mu)), math.sin(0.5 * math.pi * (1.0 - mu))
-    return math.sin(math.pi * mu), math.cos(0.5 * math.pi * mu)
+        h = 0.5 * math.pi * (1.0 - mu)
+        return math.sin(math.pi * (1.0 - mu)) / (math.pi * mu), math.cos(h), math.sin(h)
+    h = 0.5 * math.pi * mu
+    return math.sin(math.pi * mu) / (math.pi * mu), math.sin(h), math.cos(h)
 
 
 def _log_ratio_density(d, t, mu):
@@ -93,8 +97,30 @@ def _log_ratio_density(d, t, mu):
     cancellation.  Its bracket 2 cosh L + 2 cos(pi mu) is the sum of
     d^2 / t and 4 cos^2(pi mu / 2), so nothing cancels at the mode as
     mu -> 1 and nothing overflows in either tail."""
-    sin, cos = _sin_cos(mu)
-    return sin / (math.pi * mu) * t / (d * d + 4.0 * cos * cos * t)
+    k, _, cos = _trig(mu)
+    return k * t / (d * d + 4.0 * cos * cos * t)
+
+
+def _log_ratio_tail(d, t, mu):
+    """P(L >= u) for u = -log t >= 0, from arrays t = e^-u and d = 1 - t: the
+    arctangent of x = 2 s c t / (c^2 (1 + t) + s^2 d) over pi mu, which is
+    1/2 - arctan(tan(pi mu / 2) tanh(u / 2)) / (pi mu) with its cancelling
+    difference taken in closed form.  It is formed as x / (pi mu), which
+    keeps its digits as mu or t vanishes, times arctan(x) / x, which is 1
+    for every x below the smallest normal float, so x is floored there and
+    0 / 0 never arises.  The work is done in d and t, and t is returned."""
+    k, sin, cos = _trig(mu)
+    den = t + 1.0
+    den *= cos * cos
+    d *= sin * sin
+    den += d
+    ratio = np.multiply(t, k, out=t)
+    ratio /= den  # x / (pi mu)
+    x = np.maximum(np.multiply(ratio, math.pi * mu, out=den), _TINY, out=den)
+    atan = np.arctan(x, out=d)
+    atan /= x
+    ratio *= atan
+    return ratio
 
 
 def _power_ratio_density(a, b, mu):
@@ -134,7 +160,7 @@ def _integrate_log_ratio(f, mu, lo, hi, cuts=()):
     anchored at a cut (a finite piece is halved), so every cut sits at t = 0,
     where bisection digs deepest; a step there narrower than the first
     nodes is missed by equal and opposite amounts on its two sides."""
-    grading, w = [], 2.0 * _sin_cos(mu)[1]
+    grading, w = [], 2.0 * _trig(mu)[2]
     while w < 1.0:
         grading, w = grading + [-w, w], 4.0 * w
     points = sorted({lo, hi, *(c for c in (0.0, *grading, *cuts) if lo < c < hi)})
@@ -184,20 +210,16 @@ def ratio_power_pdf(y, mu):
 
 
 def ratio_power_cdf(y, mu):
-    """Antiderivative of :func:`ratio_power_pdf`, normalised to hit 1 at infinity."""
+    """P(Y <= y) = P(L <= log y): the tail of L at t = min(y, 1/y), or one
+    minus it above y = 1."""
     mu = _validate_mu(mu)
     arr = _as_array(y, "y", 0.0, math.inf)
-    s = math.sin(math.pi * mu)
-    c = math.cos(math.pi * mu)
-    if mu < _SMALL_MU:
-        # the arctangent difference below cancels as mu -> 0, where the law
-        # tends to y / (1 + y); the gap is below 0.16 (pi mu)^2 <= 1.6e-11
-        val = arr / (1.0 + arr)
-    else:
-        # arctan((y + cos) / sin) rises from arctan(cot(pi mu)) = pi/2 - pi mu to pi/2
-        with np.errstate(over="ignore"):
-            val = (np.arctan((arr + c) / s) - (0.5 * math.pi - math.pi * mu)) / (math.pi * mu)
-    return _scalar_like(y, np.clip(val, 0.0, 1.0))
+    big = np.maximum(arr, 1.0)
+    d = np.abs(arr - 1.0)
+    d /= big
+    t = np.minimum(arr, np.divide(1.0, big, out=big), out=big)
+    tail = _log_ratio_tail(d, t, mu)
+    return _scalar_like(y, np.subtract(1.0, tail, out=tail, where=arr > 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +240,13 @@ def lamperti_pdf(z, mu, p):
 
 
 def lamperti_cdf(z, mu, p):
-    """P(A <= z) via the power-ratio law: 1 - F_Y((p/q) ((1-z)/z)**mu)."""
+    """P(A <= z) = P(L >= x) at x = log(p/q) + mu log((1-z)/z): the tail of
+    L at |x|, or one minus it for x < 0; z = 0 and 1 are x = +-inf."""
     mu, p = _validate_mu(mu), _validate_p(p)
-    arr = np.atleast_1d(_as_array(z, "z", 0.0, 1.0))
-    out = np.empty_like(arr)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    inner = (arr > 0.0) & (arr < 1.0)
-    if np.any(inner):
-        z_in = arr[inner]
-        with np.errstate(over="ignore"):
-            r = p / (1.0 - p) * ((1.0 - z_in) / z_in) ** mu
-            # the odds overflow at subnormal z where r need not: redo in logs
-            big = np.isinf(r)
-            r[big] = np.exp(_log_ratio_at(z_in[big], mu, p))
-        # an r beyond the float range has cdf 0 to within an ulp
-        out[inner] = 1.0 - ratio_power_cdf(np.minimum(r, _FLOAT_MAX), mu)
-    return _scalar_like(z, out.reshape(np.shape(z)))
+    x = _log_ratio_at(_as_array(z, "z", 0.0, 1.0), mu, p)
+    minus_u = -np.abs(x)
+    tail = _log_ratio_tail(-np.expm1(minus_u), np.exp(minus_u), mu)
+    return _scalar_like(z, np.subtract(1.0, tail, out=tail, where=x < 0.0))
 
 
 def ratio_A_pdf(z, mu):
@@ -279,12 +291,25 @@ def mellin_transform(s, mu):
 
 
 def fractional_moment(s, mu):
-    """E[S**(mu s)] = Gamma(1 - s) / Gamma(1 - mu s) for s < 1."""
+    """E[S**(mu s)] = Gamma(1 - s) / Gamma(1 - mu s) for finite s < 1.
+
+    The ratio of stdlib gammas holds to 2e-13 relative until Gamma(1 - s)
+    leaves the float range near s = -170.  Past that the lgamma difference
+    is good to a few ulps of lgamma(1 - s), the order to which rounding
+    1 - mu s alone already moves the value, and a moment beyond the float
+    range is inf."""
     mu = _validate_mu(mu)
     s = float(s)
-    if not s < 1.0:
-        raise ParameterDomainError(f"moment order must satisfy s < 1: {s}")
-    return gamma(1.0 - s) / gamma(1.0 - mu * s)
+    if not -math.inf < s < 1.0:
+        raise ParameterDomainError(f"moment order must be finite with s < 1: {s}")
+    try:
+        return math.gamma(1.0 - s) / math.gamma(1.0 - mu * s)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(math.lgamma(1.0 - s) - math.lgamma(1.0 - mu * s))
+    except OverflowError:  # the moment, or lgamma(1 - s) itself, leaves the range
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

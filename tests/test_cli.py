@@ -80,6 +80,51 @@ def test_sample_usage_errors(tmp_path, monkeypatch):
     assert main(walk + ["--steps", str(2 ** 53), "--count", "1"]) == 2
 
 
+# each law's options, the parameters it records and its CSV header at them
+EVERY_LAW = {
+    "arcsine": ([], {}, ["arcsine"]),
+    "stable": (["--mu", "0.5"], {"mu": 0.5}, ["stable_mu0.5"]),
+    "stable-half": ([], {}, ["stable_half"]),
+    "ratio-power": (["--mu", "0.3"], {"mu": 0.3}, ["ratio_power_mu0.3"]),
+    "ratio-a": (["--mu", "0.7"], {"mu": 0.7}, ["ratio_a_mu0.7"]),
+    "occupation": (["--n", "3"], {"n": 3},
+                   [f"occupation_n3_ray{j}" for j in (1, 2, 3)]),
+    "spider-marginal": (["--n", "4"], {"n": 4}, ["spider_marginal_n4"]),
+    "spider-walk": (["--n", "3", "--steps", "1000"], {"n": 3, "steps": 1000},
+                    ["path_id", "frac_ray1", "frac_ray2", "frac_ray3", "zero_visits",
+                     "last_zero_fraction", "stopped_step", "discarded"]),
+}
+LAW_OPTIONS = {"mu": "0.5", "n": "3", "steps": "1000"}
+
+
+@pytest.mark.parametrize("law", list(EVERY_LAW))
+def test_sample_every_law(tmp_path, capsys, law):
+    options, parameters, header = EVERY_LAW[law]
+    argv = ["sample", "--law", law, "--count", "20", "--seed", "3", "--deterministic"]
+    assert main(argv + options + ["--out", str(tmp_path / "s")]) == 0
+    assert (tmp_path / "s.csv").read_text().splitlines()[0].split(",") == header
+    if law == "spider-walk":
+        run = json.loads((tmp_path / "s.run.json").read_text())
+        assert (run["n"], run["steps"], run["paths"]) == (3, 1000, 20)
+    else:
+        sidecar = json.loads((tmp_path / "s.json").read_text())
+        assert sidecar["parameters"] == parameters
+    manifest = json.loads((tmp_path / "s.manifest.json").read_text())
+    assert manifest["parameters"] == {"law": law, **parameters, "count": 20}
+
+    # an option the law ignores, or one it needs left out, is a usage error
+    # that names the option, before any output exists
+    rejected = tmp_path / "rejected"
+    wrong = [(options + [f"--{opt}", value], f"takes no --{opt}")
+             for opt, value in LAW_OPTIONS.items() if opt not in parameters]
+    wrong += [(options[:k] + options[k + 2:], f"requires {options[k]}")
+              for k in range(0, len(options), 2)]
+    for opts, message in wrong:
+        assert main(argv + opts + ["--out", str(rejected / "s")]) == 2
+        assert message in capsys.readouterr().err
+    assert not rejected.exists()
+
+
 def test_sample_out_with_a_dot_keeps_its_name(tmp_path):
     # ".csv" is appended unless the name already ends in it, so runs named
     # by their mu do not overwrite one another

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -227,8 +229,32 @@ def test_fractional_moment_values():
     assert fractional_moment(0.5, 0.5) == pytest.approx(1.4464090846320767, rel=1e-12)
     # Gamma(2) / Gamma(3/2) = 2 / sqrt(pi)
     assert fractional_moment(-1.0, 0.5) == pytest.approx(1.1283791670955126, rel=1e-12)
-    with pytest.raises(ParameterDomainError):
-        fractional_moment(1.0, 0.5)
+    # Gamma(151) / Gamma(76), finite although Gamma(151) alone is 5.7e262
+    assert fractional_moment(-150.0, 0.5) == pytest.approx(2.3029350350664173e153, rel=2e-13)
+    # Gamma(401) / Gamma(201) = 8.1e493, beyond the float range
+    assert fractional_moment(-400.0, 0.5) == math.inf
+    for s in (1.0, math.nan, -math.inf):
+        with pytest.raises(ParameterDomainError):
+            fractional_moment(s, 0.5)
+
+
+def test_fractional_moment_matches_mpmath():
+    # the stdlib gamma ratio holds to 2e-13 while Gamma(1 - s) is finite;
+    # past s = -170 the lgamma difference holds to a few ulps of lgamma(1 - s),
+    # where the moment is finite, and the rest is inf
+    rng = np.random.default_rng(17)
+    near = zip(rng.uniform(-170.0, 1.0, 300), 1.0 - rng.random(300))
+    far_s = -np.exp(rng.uniform(math.log(171.0), math.log(1e6), 300))
+    far_mu = 1.0 - rng.uniform(0.0, 800.0, 300) / (-far_s * np.log(-far_s))
+    for s, mu in [*near, *zip(far_s, far_mu)]:
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(1 - mpmath.mpf(s)) / mpmath.gamma(1 - mpmath.mpf(mu) * s)
+        value = fractional_moment(s, mu)
+        if exact > sys.float_info.max:
+            assert value == math.inf
+            continue
+        bound = 2e-13 if s > -170.0 else 4.0 * sys.float_info.epsilon * math.lgamma(1.0 - s)
+        assert abs(value - exact) <= bound * exact, (s, mu, value, exact)
 
 
 @pytest.mark.parametrize("mu", [0.4, 0.6])
