@@ -15,6 +15,7 @@ manifests) are byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -27,9 +28,10 @@ from .figures import render_curves_svg, write_curve_csv
 from .gof import summary_table, write_reports_jsonl
 from .laws import LawKind, LawSpec, build_density_curve
 from .output import prepare_out, sidecar_path, write_json
-from .rng import RngStream, composite_stream_id
+from .rng import RngStream
 from .samplers import (
     BatchMeta,
+    ChunkedSample,
     sample_arcsine,
     sample_cauchy_spider_marginal,
     sample_occupation_exact,
@@ -41,8 +43,6 @@ from .samplers import (
 )
 from .suites import SUITE_NAMES, run_suite
 from .walk import SpiderConfig, run_walk_batch
-
-_SAMPLE_RUN_ID = 8  # stream namespace for CLI sampling, clear of walk run ids
 
 
 @dataclass
@@ -153,11 +153,13 @@ def cmd_sample(args) -> int:
                        record_wall_time=not args.deterministic)
         manifest.outputs += [str(csv_path), str(json_path)]
     else:
-        meta = BatchMeta()
-        values = draw(RngStream(seed, composite_stream_id(_SAMPLE_RUN_ID, 0)), count, meta,
-                      **parameters)
+        # chunks are drawn as they are written, so a zero-row draw runs the
+        # sampler's own checks before any output, and its shape gives the width
+        empty = draw(RngStream(seed), 0, BatchMeta(), **parameters)
+        values = ChunkedSample(functools.partial(draw, **parameters), count, seed,
+                               width=empty.shape[1] if empty.ndim == 2 else 1)
         sidecar = save_sample_batch(csv_path, values, args.law.replace("-", "_"),
-                                    parameters, seed, meta=meta)
+                                    parameters, seed)
         manifest.outputs += [str(csv_path), sidecar]
     manifest.finish(manifest_path, args.deterministic)
     return 0

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .laws import DensityCurve
-from .output import sidecar_path, write_csv, write_json
+from .output import sidecar_path, sliced, write_csv, write_json
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -26,8 +26,8 @@ _Y_MAX = 3.0  # the plot ceiling
 
 def write_curve_csv(curve: DensityCurve, csv_path):
     """Write (z, pdf, cdf) rows plus a JSON sidecar describing the law."""
-    write_csv(csv_path, ["z", "pdf", "cdf"],
-              [curve.grid, curve.pdf_values, curve.cdf_values])
+    write_csv(csv_path, ["z", "pdf", "cdf"], len(curve.grid),
+              sliced([curve.grid, curve.pdf_values, curve.cdf_values]))
     sidecar = sidecar_path(csv_path)
     write_json(sidecar, {"law": curve.law.as_dict(), "points": len(curve.grid)})
     return sidecar

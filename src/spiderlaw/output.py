@@ -4,11 +4,15 @@ CSV follows the ``csv.writer`` default dialect: fields joined by ``,``, lines
 ended by ``\\r\\n``, and no field that needs quoting.  A field is ``str`` of
 the ``.tolist()`` value, which for a float is its shortest repr, so floats
 read back bit-exact; flags are passed as strings and a masked entry is an
-empty field.  Rows are formatted in chunks of ``_CHUNK_ROWS``, one task each
-on the process's usable CPUs (``parallel.ordered_map``), and written in order
-as they arrive, so no table is held as strings and the bytes do not depend
-on the CPU count.  JSON is indented by two, with sorted keys and a final
-newline.
+empty field.  A table is written in chunks of ``_CHUNK_ROWS`` rows, chunk k
+being the columns a pure function of k returns: an in-memory table slices
+its columns (:func:`sliced`), and a sample draws the chunk's rows from the
+chunk's own stream (``samplers.ChunkedSample``), so the chunk size is also
+part of a sample's stream layout.  Each chunk is made and formatted as one
+task on the process's usable CPUs (``parallel.ordered_map``) and written in
+order as it arrives, so no more than a few chunks are held at a time and the
+bytes do not depend on the CPU count.  JSON is indented by two, with sorted
+keys and a final newline.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import UsageError
 from .parallel import ordered_map
 
-_CHUNK_ROWS = 1 << 14  # rows formatted at a time, so no table is held as strings
+_CHUNK_ROWS = 1 << 14  # rows per chunk: one formatting task, one sample stream
 
 
 def _fields(column) -> list[str]:
@@ -30,17 +34,36 @@ def _fields(column) -> list[str]:
     return list(map(str, values))
 
 
-def write_csv(path, header, columns):
-    """Write a header row, then one row per index of the equal-length columns."""
+def sliced(columns):
+    """The chunks of equal-length in-memory columns: chunk k is their rows
+    from ``k * _CHUNK_ROWS``, with a tally of 0."""
     def chunk(k):
         lo = k * _CHUNK_ROWS
-        cells = [_fields(column[lo:lo + _CHUNK_ROWS]) for column in columns]
-        return "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+        return [column[lo:lo + _CHUNK_ROWS] for column in columns], 0
 
+    return chunk
+
+
+def write_csv(path, header, rows, chunk) -> int:
+    """Write a header row, then ``rows`` rows, ``_CHUNK_ROWS`` at a time.
+
+    ``chunk(k)`` returns chunk k as ``(columns, tally)``: equal-length columns
+    for rows ``k * _CHUNK_ROWS`` up to ``(k + 1) * _CHUNK_ROWS``, and a count
+    the chunk made, such as a sample's redraws.  It must be a pure function of
+    k.  Returns the sum of the tallies.
+    """
+    def task(k):
+        columns, tally = chunk(k)
+        cells = [_fields(column) for column in columns]
+        return "\r\n".join(map(",".join, zip(*cells))) + "\r\n", tally
+
+    total = 0
     with open(str(path), "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for text in ordered_map(chunk, -(-len(columns[0]) // _CHUNK_ROWS)):
+        for text, tally in ordered_map(task, -(-rows // _CHUNK_ROWS)):
             fh.write(text)
+            total += tally
+    return total
 
 
 def write_json(path, payload):

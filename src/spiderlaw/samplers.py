@@ -21,18 +21,26 @@ p = 1/n).  X**mu is formed from the logs, so it is finite for every mu.  An
 S or X beyond the float range is kept as its correctly rounded value, inf
 or 0.0, just as A keeps 0.0 and 1.0; nothing that overflows is redrawn.
 The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard normal N.
+
+A :class:`ChunkedSample` lays a large sample out in chunks of
+``output._CHUNK_ROWS`` rows, chunk c drawn, redraws included, from its own
+stream ``(seed, composite_stream_id(_SAMPLE_RUN_ID, c))``, so
+:func:`save_sample_batch` can draw and write it one chunk per task without
+ever holding the whole sample.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import output
 from .errors import ParameterDomainError
 from .laws import _expit, _validate_mu, _validate_p, _validate_rays
-from .output import sidecar_path, write_csv, write_json
-from .rng import RngStream
+from .output import sidecar_path, sliced, write_csv, write_json
+from .rng import RngStream, composite_stream_id
 
 
 @dataclass
@@ -228,27 +236,72 @@ def sample_arcsine(rng: RngStream, size, method="cosine",
 # batch output
 # ---------------------------------------------------------------------------
 
-def save_sample_batch(csv_path, values, law: str, parameters: dict, seed: int,
-                      meta: BatchMeta | None = None):
+_SAMPLE_RUN_ID = 8  # stream namespace of sample chunks, clear of walk run ids
+
+
+@dataclass(frozen=True)
+class ChunkedSample:
+    """``count`` rows of ``draw(rng, size, meta)``, each ``width`` values wide,
+    drawn a chunk at a time.
+
+    Chunk c holds rows ``c * R`` up to ``(c + 1) * R``, R = ``output._CHUNK_ROWS``,
+    and is drawn, its redraws included, from its own stream
+    ``RngStream(seed, composite_stream_id(_SAMPLE_RUN_ID, c))``.  So each
+    chunk is a pure function of (seed, c): ``count`` only says where the last
+    chunk ends, and no chunk depends on which process draws it.
+    """
+
+    draw: Callable
+    count: int
+    seed: int
+    width: int
+
+    def __len__(self):
+        return self.count
+
+    @property
+    def chunks(self) -> int:
+        return -(-self.count // output._CHUNK_ROWS)
+
+    def chunk(self, c):
+        """Chunk c as ``output.write_csv`` takes it: its ``width`` columns,
+        and the redraws they took."""
+        meta = BatchMeta()
+        lo = c * output._CHUNK_ROWS
+        rng = RngStream(self.seed, composite_stream_id(_SAMPLE_RUN_ID, c))
+        rows = self.draw(rng, min(output._CHUNK_ROWS, self.count - lo), meta)
+        return rows.reshape(-1, self.width).T, meta.redraws
+
+
+def save_sample_batch(csv_path, values, law: str, parameters: dict, seed: int):
     """Write samples as CSV plus a JSON sidecar describing the batch.
 
-    One column per coordinate; the header carries the law name and its
-    parameters so the CSV is self-describing.
+    ``values`` is an array with one row per sample, or a
+    :class:`ChunkedSample`, whose chunks are drawn and formatted one task
+    each, so the sample is never held whole.  One column per coordinate; the
+    header carries the law name and its parameters so the CSV is
+    self-describing.  The sidecar's ``redraw_count`` is the sum of every
+    chunk's redraws (0 for an array), and ``stream_count`` the number of
+    chunk streams (one for an array).
     """
-    arr = np.asarray(values, dtype=float).reshape(len(values), -1)
+    if isinstance(values, ChunkedSample):
+        width, streams, chunk = values.width, values.chunks, values.chunk
+    else:
+        arr = np.asarray(values, dtype=float).reshape(len(values), -1)
+        width, streams, chunk = arr.shape[1], 1, sliced(arr.T)
     suffix = "".join(f"_{k}{v:g}" for k, v in sorted(parameters.items()))
-    if arr.shape[1] == 1:
+    if width == 1:
         header = [f"{law}{suffix}"]
     else:
-        header = [f"{law}{suffix}_ray{j + 1}" for j in range(arr.shape[1])]
-    write_csv(csv_path, header, arr.T)
+        header = [f"{law}{suffix}_ray{j + 1}" for j in range(width)]
+    redraws = write_csv(csv_path, header, len(values), chunk)
     sidecar = sidecar_path(csv_path)
     write_json(sidecar, {
         "law": law,
         "parameters": dict(parameters),
         "seed": int(seed),
-        "stream_count": 1,
-        "n_samples": int(arr.shape[0]),
-        "redraw_count": 0 if meta is None else int(meta.redraws),
+        "stream_count": streams,
+        "n_samples": len(values),
+        "redraw_count": redraws,
     })
     return sidecar

@@ -21,12 +21,10 @@ sequence that a step-by-step walk computes, so the laws agree exactly; the
 unit tests cross-check every rule against a stepwise reference.  The cost
 grows with the number of excursions, about sqrt(steps), not with steps.
 
-First-return lengths are inverted exactly from a table up to 2**21 steps,
-so fixed-time laws are exact for horizons of up to 2**21 steps.  Longer
-excursions use the far-tail asymptotic P(T > 2k) ~ (pi k)**-1/2 (1 - 1/(8k)).
-Against an exact (mpmath) inverse it is exact below k = 2**44; of 1,500
-draws log-uniform in k over (2**20, 2**52), 38 came out one k (two steps)
-long, all at k >= 2**44.7, from float64 rounding in 1/(pi u**2) + 3/4.
+First-return lengths are inverted exactly: from a table up to 2**21 steps,
+and past it from the asymptotic inverse, checked against the tail
+P(T > 2k) in float where that decides and in 50-digit ``decimal`` where it
+does not.  So every length below 2**53 steps is exact.
 
 Paths draw in rounds of a number of excursions fixed by the configuration
 and the rule.  Round r of path p is Philox4x64-10 (Salmon et al., SC'11)
@@ -45,7 +43,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, UsageError
-from .output import write_csv, write_json
+from .output import sliced, write_csv, write_json
 from .parallel import ordered_map
 from .rng import composite_stream_id
 
@@ -225,14 +223,52 @@ def _return_tail_table() -> np.ndarray:
     return _return_tail
 
 
+# past the table the float tail is good to a few ulps; within this relative
+# distance of u it cannot decide, and decimal does
+_FAR_TAIL_MARGIN = 1e-13
+
+
+def _decimal_tail_below(k: int, u: float) -> bool:
+    """P(T > 2k) < u, for k past the table, to 50 digits.
+
+    log P(T > 2k) = log Gamma(k + 1/2) - log Gamma(k + 1) - log(pi) / 2 is
+    -log(pi k) / 2 - 1/(8k) + 1/(192k^3) - 1/(640k^5) + 17/(14336k^7) by
+    the Stirling series, with a remainder below 1e-57 for k >= 2**20.  Only
+    near-tie draws get here, so ``decimal`` is imported here, not with the
+    package.
+    """
+    from decimal import Decimal, localcontext
+
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k = Decimal(k)
+        log_tail = ((pi * k).ln() / -2 - 1 / (8 * k) + 1 / (192 * k ** 3)
+                    - 1 / (640 * k ** 5) + 17 / (14336 * k ** 7))
+        return log_tail < Decimal(u).ln()
+
+
+def _tail_below(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """P(T > 2k) < u for each k past the table, from the asymptotic tail
+    (pi k)**-1/2 (1 - 1/(8k) + 1/(128k^2)), whose next term is below 1e-20
+    relative there; where u lies too close to it, from the decimal tail."""
+    tail = (1.0 - (1.0 - 1.0 / (16.0 * k)) / (8.0 * k)) / np.sqrt(np.pi * k)
+    below = tail < u
+    for i in np.flatnonzero(np.abs(tail - u) <= _FAR_TAIL_MARGIN * u):
+        below[i] = _decimal_tail_below(int(k[i]), float(u[i]))
+    return below
+
+
 def _first_return_lengths(u: np.ndarray) -> np.ndarray:
     """Invert uniforms on (0, 1] into first-return times of the +/-1 walk.
 
     The length is 2k for the least k with P(T > 2k) < u.  The asymptotic
-    inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it everywhere
-    in the table, so one step up and one step down against the table make it
-    exact there; past the table (lengths over 2**21) the asymptotic value
-    stands, exact below k = 2**44 and at most one k long above it.
+    inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it in the
+    table, so one step up and one step down against the table make it exact
+    up to 2**21 steps.  Past the table, where float rounding of 1/(pi u^2)
+    can move it by more, it steps against :func:`_tail_below` until exact.
+    A k of 2**52 or more stands: such an excursion alone reaches the 2**53
+    bound on step totals.
     """
     tail = _return_tail_table()
     k = np.multiply(u, u)
@@ -244,7 +280,17 @@ def _first_return_lengths(u: np.ndarray) -> np.ndarray:
     idx += tail[idx] >= u
     idx -= tail[idx - 1] < u
     far = idx > _RETURN_TABLE_K  # u <= P(T > 2K): only the sentinel lies below
-    return 2.0 * np.where(far, k, idx)
+    lengths = np.where(far, k, idx)
+    far = np.flatnonzero(far)
+    far = far[k.take(far) < _EXACT_STEPS / 2]
+    k, u = k.take(far), u.take(far)
+    while (up := ~_tail_below(k, u)).any():
+        k += up
+    while (down := _tail_below(k - 1.0, u)).any():
+        k -= down
+    lengths.put(far, k)
+    lengths *= 2.0
+    return lengths
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +466,10 @@ def write_batch_csv(csv_path, batch: StopBatch):
     lz = np.zeros(paths)
     lz[keep] = batch.last_zero_fraction
     stats = list(fracs.T) + [batch.zero_visits, lz, batch.stopped_step]
-    write_csv(csv_path, header,
-              [np.arange(paths)]
-              + [np.ma.masked_array(col, mask=disc) for col in stats]
-              + [np.where(disc, "true", "false")])
+    write_csv(csv_path, header, paths, sliced(
+        [np.arange(paths)]
+        + [np.ma.masked_array(col, mask=disc) for col in stats]
+        + [np.where(disc, "true", "false")]))
 
 
 def write_run_manifest(path, batch: StopBatch, wall_time_s: float | None):

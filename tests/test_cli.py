@@ -1,10 +1,12 @@
 import json
+import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from spiderlaw import GofReport, arcsine_cdf, arcsine_pdf, ks_one_sample
+from spiderlaw import GofReport, arcsine_cdf, arcsine_pdf, ks_one_sample, output
 from spiderlaw.cli import main
 
 
@@ -29,6 +31,26 @@ def test_sample_occupation(tmp_path):
     manifest = json.loads((tmp_path / "occ.manifest.json").read_text())
     assert manifest["command"] == "sample"
     assert all(json.loads((tmp_path / "occ.json").read_text()))
+
+
+def test_sample_memory_does_not_grow_with_count(monkeypatch, tmp_path):
+    # one chunk at a time is drawn and formatted, so 32 chunks peak about as
+    # high as 8; holding the whole sample would take 4 times the rows
+    monkeypatch.setattr(output, "_CHUNK_ROWS", 4096)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def peak(chunks):
+        argv = ["sample", "--law", "occupation", "--n", "3", "--count", str(4096 * chunks),
+                "--seed", "5", "--out", str(tmp_path / f"occ{chunks}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # imports and lazy set-up happen before any peak is taken
+    assert peak(32) <= 1.5 * peak(8)
 
 
 def test_sample_arcsine_law_is_right(tmp_path):
@@ -69,6 +91,9 @@ def test_sample_usage_errors(tmp_path, monkeypatch):
     assert main(["sample", "--law", "nope", "--count", "10", "--out", out]) == 2
     assert main(["sample", "--law", "occupation", "--n", "1", "--count", "5",
                  "--out", out]) == 2
+    assert main(["sample", "--law", "stable", "--mu", "1.5", "--count", "5",
+                 "--out", out]) == 2
+    assert not (tmp_path / "x.csv").exists()  # the sampler's checks run first
 
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk ran for rejected input")

@@ -1,4 +1,5 @@
-"""The ordered fork map behind CSV writing, walk path groups and ``verify``.
+"""The ordered fork map behind CSV writing, sample chunks, walk path groups
+and ``verify``.
 
 The worker count comes from the CPU affinity mask, which each test patches.
 Every table and column must be identical to the serial one at any count, and
@@ -6,6 +7,7 @@ the serial cases must fork nothing: there ``multiprocessing.get_context``
 is made to fail.
 """
 import contextlib
+import json
 import multiprocessing
 import os
 import signal
@@ -15,16 +17,21 @@ import numpy as np
 import pytest
 
 from spiderlaw import (
+    BatchMeta,
     LawKind,
     LawSpec,
+    RngStream,
     SpiderConfig,
     StopBatch,
     StoppingRule,
+    composite_stream_id,
+    sample_occupation_exact,
+    sample_stable_half,
     save_sample_batch,
     simulate_batch,
     stop_batch,
 )
-from spiderlaw import errors, output, suites, walk
+from spiderlaw import cli, errors, output, samplers, suites, walk
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
 from spiderlaw.parallel import ordered_map
@@ -188,6 +195,14 @@ def _sample_table(path):
     save_sample_batch(path, values, "occupation", {"n": 3}, seed=0)
 
 
+def _drawn_table(path, count=ROWS, law="occupation", seed=2):
+    """``sample`` a law into ``path``; returns its sidecar."""
+    argv = ["sample", "--law", law, "--count", str(count), "--seed", str(seed),
+            "--out", str(path), "--deterministic"]
+    assert cli.main(argv + (["--n", "3"] if law == "occupation" else [])) == 0
+    return json.loads(path.with_suffix(".json").read_text())
+
+
 def _curve_table(path):
     z = np.linspace(0.0, 1.0, ROWS) / 3.0
     write_curve_csv(DensityCurve(LawSpec(LawKind.ARC_SINE), z, z * z, np.sqrt(z)), path)
@@ -205,8 +220,8 @@ def _walk_table(path):
         discarded=discarded))
 
 
-@pytest.mark.parametrize("write", [_sample_table, _curve_table, _walk_table],
-                         ids=["sample", "curve", "walk"])
+@pytest.mark.parametrize("write", [_sample_table, _drawn_table, _curve_table, _walk_table],
+                         ids=["sample", "drawn-sample", "curve", "walk"])
 def test_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, write):
     monkeypatch.setattr(output, "_CHUNK_ROWS", 64)
     sizes = _pool_sizes(monkeypatch)
@@ -220,6 +235,52 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, write):
     assert tables[1].count(b"\r\n") == ROWS + 1
     if write is _walk_table:
         assert b",,,,,,true\r\n" in tables[1]
+
+
+# ---------------------------------------------------------------------------
+# sample: chunk c is drawn from stream (seed, (_SAMPLE_RUN_ID, c))
+# ---------------------------------------------------------------------------
+
+R = 64  # rows per chunk, patched down from 16,384
+
+
+def test_a_sample_chunk_depends_only_on_seed_and_index(monkeypatch, tmp_path):
+    monkeypatch.setattr(output, "_CHUNK_ROWS", R)
+    tables = {}
+    for count in (2 * R, 3 * R + 5):
+        _drawn_table(tmp_path / f"{count}.csv", count)
+        tables[count] = np.loadtxt(tmp_path / f"{count}.csv", delimiter=",", skiprows=1)
+    assert tables[3 * R + 5].shape == (3 * R + 5, 3)
+    assert np.array_equal(tables[2 * R][R:], tables[3 * R + 5][R:2 * R])
+    for c in range(4):
+        rows = tables[3 * R + 5][c * R:(c + 1) * R]
+        stream = RngStream(2, composite_stream_id(samplers._SAMPLE_RUN_ID, c))
+        assert np.array_equal(rows, sample_occupation_exact(3, stream, len(rows)))
+
+
+def test_sample_sidecar_counts_every_chunk(monkeypatch, tmp_path):
+    # rejecting stable(1/2) draws above 10 (|N| < 0.22, about 18% of them)
+    # forces redraws in every chunk; each stays inside its chunk's stream
+    monkeypatch.setattr(output, "_CHUNK_ROWS", R)
+    monkeypatch.setattr(samplers, "_finite_positive",
+                        lambda v: np.isfinite(v) & (v > 0.0) & (v < 10.0))
+    count = 4 * R + 40
+    redraws = []
+    for c in range(5):
+        meta = BatchMeta()
+        stream = RngStream(3, composite_stream_id(samplers._SAMPLE_RUN_ID, c))
+        sample_stable_half(stream, min(R, count - c * R), meta)
+        redraws.append(meta.redraws)
+    assert min(redraws) > 0
+    sizes = _pool_sizes(monkeypatch)
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        sidecar = _drawn_table(tmp_path / f"{cpus}.csv", count, "stable-half", seed=3)
+        assert sidecar["redraw_count"] == sum(redraws)
+        assert sidecar["stream_count"] == 5
+        assert sidecar["n_samples"] == count
+    assert sizes == [2]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -290,10 +290,8 @@ def test_samplers_require_a_size():
 
 def test_save_sample_batch_roundtrip(tmp_path):
     rows = sample_occupation_exact(3, RngStream(5, 0), 100)
-    meta = BatchMeta()
     csv_path = tmp_path / "occ.csv"
-    sidecar = save_sample_batch(csv_path, rows, "occupation", {"n": 3}, seed=5,
-                                meta=meta)
+    sidecar = save_sample_batch(csv_path, rows, "occupation", {"n": 3}, seed=5)
     text = csv_path.read_text().splitlines()
     assert text[0] == "occupation_n3_ray1,occupation_n3_ray2,occupation_n3_ray3"
     assert len(text) == 101

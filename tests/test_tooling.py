@@ -74,3 +74,34 @@ def test_the_walk_outputs_keep_the_benchmark_contract(monkeypatch, tmp_path):
     assert not failed
     assert len(counts) == len(workloads.walk_batches())
     assert all(c["rows"] == c["kept"] + c["discarded"] == 300 for c in counts.values())
+
+
+def test_the_occupation_outputs_keep_the_benchmark_contract(monkeypatch, tmp_path):
+    # perfbench/checks.py reads the occupation CSV and sidecar, and its tracer
+    # counts the rows of the sample handed to save_sample_batch.  Its KS bound
+    # is set for 1e6 rows, too tight for four chunks.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+    import workloads
+
+    rows = 3 * (1 << 14) + 100
+    monkeypatch.setattr(workloads, "OCCUPATION_ROWS", rows)
+    assert workloads.run("occupation_csv", 1, tmp_path) == 0
+    results = checks.check_occupation(tmp_path, 1)
+    assert len(results.results) > 1
+    assert not [(name, detail) for name, ok, detail in results.results
+                if not ok and name != "csv:ks_col1_vs_spider_cdf"]
+
+    script = (
+        "import json, sys, tracer\n"
+        "t = tracer.install()\n"
+        "from spiderlaw.cli import main\n"
+        "assert main(['sample', '--law', 'occupation', '--n', '3', '--count', sys.argv[1],\n"
+        "             '--out', sys.argv[2], '--deterministic']) == 0\n"
+        "print(json.dumps([s['counts'] for s in t.spans\n"
+        "                  if s['name'] == 'samplers.save_sample_batch']))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(ROOT / "perfbench")])}
+    out = subprocess.run([sys.executable, "-c", script, str(rows), str(tmp_path / "traced")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    spans = json.loads(out.splitlines()[-1])
+    assert [span["rows"] for span in spans] == [rows]

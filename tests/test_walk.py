@@ -165,8 +165,8 @@ def test_first_return_lengths_on_unit_interval_edges():
 
 
 def test_far_tail_first_return_inversion_is_exact_below_2_44():
-    # past the table the asymptotic inverse stands; for k < 2**44 it is
-    # still the least k with P(T > 2k) < u, P(T > 2k) = (k+1)_{-1/2} / sqrt(pi)
+    # uniform u past the table: the least k with P(T > 2k) < u, where
+    # P(T > 2k) = (k+1)_{-1/2} / sqrt(pi) in float resolves it (k < 2**44)
     from scipy.special import poch
 
     far_tail = _return_tail_table()[_RETURN_TABLE_K]  # P(T > 2**21)
@@ -179,6 +179,29 @@ def test_far_tail_first_return_inversion_is_exact_below_2_44():
     tail_k, tail_before = (poch(k + 1.0, -0.5) / math.sqrt(math.pi),
                            poch(k, -0.5) / math.sqrt(math.pi))
     assert ((tail_k < u) & (u <= tail_before)).all()
+
+
+def test_far_tail_first_return_inversion_is_exact_to_2_52():
+    # u at, and one float either side of, P(T > 2k) for k log-uniform over
+    # (2**20, 2**52): where the tails of k - 1, k and k + 1 are closest to
+    # u, the inversion must still give the least k with P(T > 2k) < u
+    import mpmath as mp
+
+    def tail(k):
+        k = mp.mpf(k)
+        return mp.exp(mp.loggamma(k + 0.5) - mp.loggamma(k + 1)) / mp.sqrt(mp.pi)
+
+    rng = np.random.default_rng(52)
+    with mp.workdps(60):
+        ks = np.floor(2.0 ** rng.uniform(20, 52, 1500))
+        u = np.array([float(tail(int(k))) for k in ks])
+        u[0::3] = np.nextafter(u[0::3], 0.0)
+        u[1::3] = np.nextafter(u[1::3], 1.0)
+        got = _first_return_lengths(u) / 2.0
+        assert (got > _RETURN_TABLE_K).all() and (got < 2.0 ** 52).all()
+        wrong = [(k, g) for k, g, x in zip(ks, got, u)
+                 if not tail(int(g)) < mp.mpf(x) <= tail(int(g) - 1)]
+    assert not wrong
 
 
 def test_ray_relabelling_leaves_marginals_unchanged():
