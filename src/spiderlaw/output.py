@@ -4,34 +4,28 @@ CSV follows the ``csv.writer`` default dialect: fields joined by ``,``, lines
 ended by ``\\r\\n``, and no field that needs quoting.  A field is ``str`` of
 the ``.tolist()`` value, which for a float is its shortest repr, so floats
 read back bit-exact; flags are passed as strings and a masked entry is an
-empty field.  A table is written in chunks of ``_CHUNK_ROWS`` rows, chunk k
-being the columns a pure function of k returns: an in-memory table slices
-its columns (:func:`sliced`), and a sample draws the chunk's rows from the
-chunk's own stream (``samplers.ChunkedSample``), so the chunk size is also
-part of a sample's stream layout.  Each chunk is made and formatted as one
-task on the process's usable CPUs (``parallel.ordered_map``) and written in
-order as it arrives, so no more than a few chunks are held at a time and the
-bytes do not depend on the CPU count.  JSON is indented by two, with sorted
-keys and a final newline.
+empty field.  The bytes come from numpy, not from ``str``
+(``fields.csv_rows``: a shortest-digits float kernel, ints by digit
+arithmetic, each block of rows one byte matrix).  A table is written in
+chunks of ``_CHUNK_ROWS`` rows, chunk k being the columns a pure function of
+k returns: an in-memory table slices its columns (:func:`sliced`), and a
+sample draws the chunk's rows from the chunk's own stream
+(``samplers.ChunkedSample``), so the chunk size is also part of a sample's
+stream layout.  Each chunk is made and formatted as one task on the
+process's usable CPUs (``parallel.ordered_map``), its bytes sent back and
+written in order as they arrive, so no more than a few chunks are held at a
+time and the bytes do not depend on the CPU count.  JSON is indented by two,
+with sorted keys and a final newline.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .errors import UsageError
 from .parallel import ordered_map
 
 _CHUNK_ROWS = 1 << 14  # rows per chunk: one formatting task, one sample stream
-
-
-def _fields(column) -> list[str]:
-    values = column.tolist()
-    if np.ma.isMaskedArray(column):
-        return ["" if v is None else str(v) for v in values]
-    return list(map(str, values))
 
 
 def sliced(columns):
@@ -52,16 +46,19 @@ def write_csv(path, header, rows, chunk) -> int:
     the chunk made, such as a sample's redraws.  It must be a pure function of
     k.  Returns the sum of the tallies.
     """
+    # imported, and its tables built, by the first table written rather than
+    # by the package, and before the workers fork, so they inherit both
+    from .fields import csv_rows
+
     def task(k):
         columns, tally = chunk(k)
-        cells = [_fields(column) for column in columns]
-        return "\r\n".join(map(",".join, zip(*cells))) + "\r\n", tally
+        return csv_rows(columns), tally
 
     total = 0
-    with open(str(path), "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for text, tally in ordered_map(task, -(-rows // _CHUNK_ROWS)):
-            fh.write(text)
+    with open(str(path), "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for data, tally in ordered_map(task, -(-rows // _CHUNK_ROWS)):
+            fh.write(data)
             total += tally
     return total
 

@@ -8,6 +8,7 @@ import pytest
 
 from spiderlaw import GofReport, arcsine_cdf, arcsine_pdf, ks_one_sample, output
 from spiderlaw.cli import main
+from spiderlaw.samplers import ChunkedSample, sample_positive_stable
 
 
 def _read_csv(path):
@@ -51,6 +52,18 @@ def test_sample_memory_does_not_grow_with_count(monkeypatch, tmp_path):
 
     peak(1)  # imports and lazy set-up happen before any peak is taken
     assert peak(32) <= 1.5 * peak(8)
+
+
+def test_sample_writes_each_draw_as_its_repr(tmp_path):
+    # at mu = 0.01 the draws span the float range: an inf, which takes the
+    # per-value fallback, and exponents of both signs
+    assert main(["sample", "--law", "stable", "--mu", "0.01", "--count", "2000",
+                 "--seed", "1", "--deterministic", "--out", str(tmp_path / "s")]) == 0
+    draw = lambda rng, size, meta: sample_positive_stable(0.01, rng, size, meta=meta)
+    (draws,), _ = ChunkedSample(draw, 2000, seed=1, width=1).chunk(0)
+    body = (tmp_path / "s.csv").read_bytes().split(b"\r\n", 1)[1]
+    assert body == "".join(repr(v) + "\r\n" for v in draws.tolist()).encode()
+    assert b"inf\r\n" in body and b"e+" in body and b"e-" in body
 
 
 def test_sample_arcsine_law_is_right(tmp_path):

@@ -1,15 +1,15 @@
 """The CSV format shared by every table, pinned against ``csv.writer``.
 
 Each writer must emit exactly what ``csv.writer`` writes with
-``repr(float(x))`` fields (CRLF line ends included), and every float must
-read back bit-exact.
+``repr(float(x))`` and ``str(int(x))`` fields, an empty field for a masked
+entry (CRLF line ends included), and every float must read back bit-exact.
 """
 import csv
 import io
 
 import numpy as np
 
-from spiderlaw import LawKind, LawSpec, SpiderConfig, StopBatch, save_sample_batch
+from spiderlaw import LawKind, LawSpec, SpiderConfig, StopBatch, output, save_sample_batch
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
 from spiderlaw.walk import write_batch_csv
@@ -84,3 +84,44 @@ def test_batch_csv_format(tmp_path):
     kept = [row for row in _read_back(path)[1:] if row[-1] == "false"]
     parsed = np.array([row[1:3] for row in kept], dtype=float)
     assert np.array_equal(parsed, counts[[0, 1, 3]])
+
+
+def _cell(value, masked=False):
+    if masked:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def test_every_column_kind_is_written_as_csv_writer_would(tmp_path):
+    # two full chunks, the second all masked, and a short third
+    rows = 2 * output._CHUNK_ROWS + 123
+    rng = np.random.default_rng(3)
+    info = np.iinfo(np.int64)
+    ints = rng.integers(info.min, info.max, rows, endpoint=True)
+    ints[:6] = [info.min, info.max, -1, 0, -(10**18), 10**18]
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    floats[:len(FLOATS)] = FLOATS
+    floats[-3:] = [-0.0, np.inf, -5e-324]
+    mask = rng.random(rows) < 0.3
+    mask[output._CHUNK_ROWS:2 * output._CHUNK_ROWS] = True
+    columns = [np.arange(rows), ints, floats,
+               np.ma.masked_array(floats[::-1].copy(), mask=mask),
+               np.ma.masked_array(ints[::-1].copy(), mask=mask),
+               np.where(mask, "true", "false")]
+    header = ["id", "int", "float", "masked_float", "masked_int", "flag"]
+    path = tmp_path / "t.csv"
+    output.write_csv(path, header, rows, output.sliced(columns))
+    expected = [header]
+    for i in range(rows):
+        expected.append([_cell(int(i)), _cell(int(ints[i])), _cell(float(floats[i])),
+                         _cell(float(floats[::-1][i]), mask[i]),
+                         _cell(int(ints[::-1][i]), mask[i]), "true" if mask[i] else "false"])
+    assert path.read_bytes() == _csv_writer_bytes(expected)
+
+
+def test_a_one_column_table_is_written_as_csv_writer_would(tmp_path):
+    rows = output._CHUNK_ROWS + 5
+    values = np.arange(rows) - 7
+    path = tmp_path / "one.csv"
+    output.write_csv(path, ["v"], rows, output.sliced([values]))
+    assert path.read_bytes() == _csv_writer_bytes([["v"]] + [[str(v)] for v in values.tolist()])

@@ -34,6 +34,22 @@ def test_a_bare_import_loads_no_multiprocessing():
     assert "multiprocessing" not in _loaded_after("import spiderlaw")
 
 
+def test_the_float_kernel_loads_with_the_first_csv_not_with_the_package(tmp_path):
+    # its module and exact big-int tables cost about 20 ms, kept out of a bare
+    # import; write_csv loads them in the parent, so forked workers inherit them
+    loaded = (
+        "import sys, numpy, spiderlaw\n"
+        "from spiderlaw import output\n"
+        "print('spiderlaw.fields' in sys.modules)\n"
+        "output.write_csv(sys.argv[1], ['n'], 1, output.sliced([numpy.ones(1)]))\n"
+        "print('spiderlaw.fields' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", loaded, str(tmp_path / "t.csv")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
+    assert (tmp_path / "t.csv").read_bytes() == b"n\r\n1.0\r\n"
+
+
 def test_the_benchmark_tracer_records_its_spans():
     # perfbench/tracer.py rebinds public names of the package; a rename
     # there would leave its per-layer metrics silently empty
