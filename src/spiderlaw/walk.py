@@ -21,10 +21,13 @@ sequence that a step-by-step walk computes, so the laws agree exactly; the
 unit tests cross-check every rule against a stepwise reference.  The cost
 grows with the number of excursions, about sqrt(steps), not with steps.
 
-First-return lengths are inverted exactly: from a table up to 2**21 steps,
-and past it from the asymptotic inverse, checked against the tail
+First-return lengths are inverted from a table of P(T > 2k) up to 2**17
+steps, and past it from the asymptotic inverse, checked against the tail
 P(T > 2k) in float where that decides and in 50-digit ``decimal`` where it
-does not.  So every length below 2**53 steps is exact.
+does not.  So every length past 2**17 and below 2**53 steps is exact.  The
+table is a float product that drifts from the true tail by up to 165 ulps,
+so a uniform between a table entry and the tail it stands for (probability
+2.1e-12 in all) comes out one length off.
 
 Paths draw in rounds of a number of excursions fixed by the configuration
 and the rule.  Round r of path p is Philox4x64-10 (Salmon et al., SC'11)
@@ -51,7 +54,7 @@ DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
 
 _MAX_RAYS = 32767  # rays are floor(n v); checked to stay below n for all v < 1
-_ROUND_ELEMENTS = 1 << 18  # excursions drawn per round, by one path or a group
+_ROUND_ELEMENTS = 1 << 16  # excursions drawn per round, by one path or a group
 _EXACT_STEPS = 1 << 53  # step totals are float64, exact only below here
 
 
@@ -207,7 +210,7 @@ class StopBatch:
 # exact first-return lengths
 # ---------------------------------------------------------------------------
 
-_RETURN_TABLE_K = 1 << 20
+_RETURN_TABLE_K = 1 << 16
 _return_tail: np.ndarray | None = None
 
 
@@ -232,10 +235,11 @@ def _decimal_tail_below(k: int, u: float) -> bool:
     """P(T > 2k) < u, for k past the table, to 50 digits.
 
     log P(T > 2k) = log Gamma(k + 1/2) - log Gamma(k + 1) - log(pi) / 2 is
-    -log(pi k) / 2 - 1/(8k) + 1/(192k^3) - 1/(640k^5) + 17/(14336k^7) by
-    the Stirling series, with a remainder below 1e-57 for k >= 2**20.  Only
-    near-tie draws get here, so ``decimal`` is imported here, not with the
-    package.
+    -log(pi k) / 2 - 1/(8k) + 1/(192k^3) - 1/(640k^5) + 17/(14336k^7)
+    - 31/(18432k^9) + 691/(180224k^11) by the Stirling series, whose k^-j
+    term is (-1)^j (2 - 2^-j) B_{j+1} / (j (j+1)) for odd j, with a
+    remainder below 1e-57 for k >= 2**16.  Only near-tie draws get here, so
+    ``decimal`` is imported here, not with the package.
     """
     from decimal import Decimal, localcontext
 
@@ -244,13 +248,14 @@ def _decimal_tail_below(k: int, u: float) -> bool:
         ctx.prec = 50
         k = Decimal(k)
         log_tail = ((pi * k).ln() / -2 - 1 / (8 * k) + 1 / (192 * k ** 3)
-                    - 1 / (640 * k ** 5) + 17 / (14336 * k ** 7))
+                    - 1 / (640 * k ** 5) + 17 / (14336 * k ** 7)
+                    - 31 / (18432 * k ** 9) + 691 / (180224 * k ** 11))
         return log_tail < Decimal(u).ln()
 
 
 def _tail_below(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """P(T > 2k) < u for each k past the table, from the asymptotic tail
-    (pi k)**-1/2 (1 - 1/(8k) + 1/(128k^2)), whose next term is below 1e-20
+    (pi k)**-1/2 (1 - 1/(8k) + 1/(128k^2)), whose next term is below 2e-17
     relative there; where u lies too close to it, from the decimal tail."""
     tail = (1.0 - (1.0 - 1.0 / (16.0 * k)) / (8.0 * k)) / np.sqrt(np.pi * k)
     below = tail < u
@@ -264,9 +269,10 @@ def _first_return_lengths(u: np.ndarray) -> np.ndarray:
 
     The length is 2k for the least k with P(T > 2k) < u.  The asymptotic
     inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it in the
-    table, so one step up and one step down against the table make it exact
-    up to 2**21 steps.  Past the table, where float rounding of 1/(pi u^2)
-    can move it by more, it steps against :func:`_tail_below` until exact.
+    table, so one step up and one step down against the table find it up to
+    2**17 steps, exact but for a u within the table's float drift of a
+    tail.  Past the table, where float rounding of 1/(pi u^2) can move it by
+    more, it steps against :func:`_tail_below` until exact.
     A k of 2**52 or more stands: such an excursion alone reaches the 2**53
     bound on step totals.
     """

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -144,8 +145,8 @@ def test_exact_landing_on_the_horizon():
     assert (one.counts.sum(axis=1) == 1).all()
 
 
-def test_long_walk_memory_is_bounded():
-    # a round holds at most 2**18 excursions however long the path is, so
+def test_long_walk_memory_is_bounded(monkeypatch):
+    # a round holds at most 2**16 excursions however long the path is, so
     # memory does not grow with sqrt(steps); the return table is built first
     _return_tail_table()
     tracemalloc.start()
@@ -156,6 +157,18 @@ def test_long_walk_memory_is_bounded():
         tracemalloc.stop()
     assert batch.stopped_step[0] == 2 ** 44
     assert peak < 64 * 2 ** 20
+    # and a group of short paths shares one such round: serial on one CPU,
+    # a batch's peak is one group's round, not its path count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    config = SpiderConfig(n=8, steps=20_000, paths=3_000, seed=5)
+    tracemalloc.start()
+    try:
+        batch = stop_batch(config, StoppingRule.inverse_occupation())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.counts.shape == (3_000, 8)
+    assert peak < 12 * 2 ** 20
 
 
 def test_first_return_lengths_on_unit_interval_edges():
@@ -169,7 +182,7 @@ def test_far_tail_first_return_inversion_is_exact_below_2_44():
     # P(T > 2k) = (k+1)_{-1/2} / sqrt(pi) in float resolves it (k < 2**44)
     from scipy.special import poch
 
-    far_tail = _return_tail_table()[_RETURN_TABLE_K]  # P(T > 2**21)
+    far_tail = _return_tail_table()[_RETURN_TABLE_K]  # P(T > 2**17)
     u = far_tail * (1.0 - np.random.default_rng(29).random(20_000))
     k = _first_return_lengths(u) / 2.0
     assert (k > _RETURN_TABLE_K).all()
@@ -183,7 +196,7 @@ def test_far_tail_first_return_inversion_is_exact_below_2_44():
 
 def test_far_tail_first_return_inversion_is_exact_to_2_52():
     # u at, and one float either side of, P(T > 2k) for k log-uniform over
-    # (2**20, 2**52): where the tails of k - 1, k and k + 1 are closest to
+    # (2**16, 2**52): where the tails of k - 1, k and k + 1 are closest to
     # u, the inversion must still give the least k with P(T > 2k) < u
     import mpmath as mp
 
@@ -193,7 +206,7 @@ def test_far_tail_first_return_inversion_is_exact_to_2_52():
 
     rng = np.random.default_rng(52)
     with mp.workdps(60):
-        ks = np.floor(2.0 ** rng.uniform(20, 52, 1500))
+        ks = np.floor(2.0 ** rng.uniform(16, 52, 1500))
         u = np.array([float(tail(int(k))) for k in ks])
         u[0::3] = np.nextafter(u[0::3], 0.0)
         u[1::3] = np.nextafter(u[1::3], 1.0)
