@@ -24,7 +24,8 @@ The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard normal N.
 
 A :class:`ChunkedSample` lays a large sample out in chunks of
 ``output._CHUNK_ROWS`` rows, chunk c drawn, redraws included, from its own
-stream ``(seed, composite_stream_id(_SAMPLE_RUN_ID, c))``, so
+Philox stream ``(seed, composite_stream_id(_SAMPLE_RUN_ID, c))`` (run 8 of
+the stream namespace listed in :mod:`spiderlaw.rng`), so
 :func:`save_sample_batch` can draw and write it one chunk per task without
 ever holding the whole sample.
 """

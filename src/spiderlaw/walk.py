@@ -30,12 +30,12 @@ so a uniform between a table entry and the tail it stands for (probability
 2.1e-12 in all) comes out one length off.
 
 Paths draw in rounds of a number of excursions fixed by the configuration
-and the rule.  Round r of path p is Philox4x64-10 (Salmon et al., SC'11)
-keyed by ``(seed, composite_stream_id(run_id, p))`` at counter ``(0, 0, 0,
-r)``: a round advances only the lowest word, so rounds never overlap.  One
-Philox serves a group of paths, re-keyed with an empty buffer before each
-draw, so path p is row p of a batch of any size, bit for bit, and groups
-can run in any process.
+and the rule.  Round r of path p draws from the package's one stream
+scheme (:mod:`spiderlaw.rng`) at key ``(seed, composite_stream_id(run_id,
+p))`` and block r: a round advances only the counter's lowest word, so
+rounds never overlap.  One Philox serves a group of paths, re-keyed by
+:func:`~spiderlaw.rng.philox_state` before each draw, so path p is row p of
+a batch of any size, bit for bit, and groups can run in any process.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ParameterDomainError, UsageError
 from .output import sliced, write_csv, write_json
 from .parallel import ordered_map
-from .rng import composite_stream_id
+from .rng import composite_stream_id, philox_state
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
@@ -330,9 +330,6 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> di
     n, m = config.n, len(paths)
     streams = [composite_stream_id(run_id, p) for p in paths]
     gen = np.random.Generator(np.random.Philox(0))
-    key, counter = [config.seed, 0], [0, 0, 0, 0]  # counter word 3 is the round
-    state = {"bit_generator": "Philox", "state": {"key": key, "counter": counter},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     block = _block_size(config, rule)
     thresh = float(rule.threshold(config))
     limit = float(_EXACT_STEPS)
@@ -346,14 +343,14 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> di
     alive = np.arange(m)
     slot = np.arange(block)
 
+    r = 0  # the round, counter block of every key
     while alive.size:
         a = alive.size
         draws = np.empty((a, 2, block))
         for i, p in enumerate(alive):
-            key[1] = streams[p]
-            gen.bit_generator.state = state
+            gen.bit_generator.state = philox_state(config.seed, streams[p], r)
             gen.random(out=draws[i])
-        counter[3] += 1
+        r += 1
         rays = np.floor(draws[:, 0] * n).astype(np.intp)
         lengths = _first_return_lengths(1.0 - draws[:, 1])
 

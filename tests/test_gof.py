@@ -13,6 +13,7 @@ from spiderlaw import (
     UsageError,
     arcsine_cdf,
     cauchy_square_convergence,
+    composite_stream_id,
     kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
@@ -22,6 +23,7 @@ from spiderlaw import (
     verify_occupation_identity,
     write_reports_jsonl,
 )
+from spiderlaw import rng, walk
 
 
 def test_kolmogorov_sf_matches_scipy():
@@ -160,6 +162,26 @@ def test_verify_occupation_identity_small_scale():
     assert all("occupation_identity" in name for name in names)
     failed = [r for r in reports if not r.passed]
     assert not failed, [(r.test_name, r.statistic) for r in failed]
+
+
+def test_occupation_identity_walks_clear_of_the_exact_stream(monkeypatch):
+    # walk paths and RngStream share one key namespace: the walks run on
+    # runs 1-3, the exact sampler on composite_stream_id(0, 0)
+    build = rng.philox_state
+    walk_keys, stream_keys = set(), set()
+
+    def recorder(keys):
+        def record(seed, stream_id, block=0):
+            keys.add((seed, stream_id))
+            return build(seed, stream_id, block)
+        return record
+
+    monkeypatch.setattr(walk, "philox_state", recorder(walk_keys))
+    monkeypatch.setattr(rng, "philox_state", recorder(stream_keys))
+    verify_occupation_identity(3, paths=500, steps=1000, seed=13)
+    assert (13, composite_stream_id(0, 0)) in stream_keys
+    assert len(walk_keys) == 3 * 500
+    assert not walk_keys & stream_keys
 
 
 def test_verify_reports_reproducible_bitwise():

@@ -98,16 +98,38 @@ def test_batch_reproducible_and_size_independent():
 
 
 def test_path_draws_follow_the_philox_key_layout():
-    # round 0 of path p is Philox keyed (seed, composite_stream_id(run, p)) at
-    # counter (0, 0, 0, 0); at 2 steps a round is 2 excursions, the first
-    # picks the ray floor(n u[0]) and returns at once iff u[2] < 1/2
+    # round r of path p is Philox keyed (seed, composite_stream_id(run, p)) at
+    # counter (0, 0, 0, r); a round of k excursions draws k ray uniforms, then
+    # k length uniforms, and an excursion returns at once iff its length
+    # uniform is below 1/2
     config = SpiderConfig(n=5, steps=2, paths=64, seed=2 ** 64 - 3)
+
+    def round_draws(p, r, k):
+        key = np.array([config.seed, composite_stream_id(7, p)], dtype=np.uint64)
+        bit_generator = np.random.Philox(key=key, counter=[0, 0, 0, r])
+        return np.random.Generator(bit_generator).random(2 * k)
+
+    # at 2 steps a round is 2 excursions, the first picks the ray floor(n u[0])
     batch = simulate_batch(config, run_id=7)
     for p in range(config.paths):
-        key = np.array([config.seed, composite_stream_id(7, p)], dtype=np.uint64)
-        u = np.random.Generator(np.random.Philox(key=key)).random(4)
+        u = round_draws(p, 0, 2)
         assert batch.counts[p, int(u[0] * 5)] == 2
         assert batch.zero_visits[p] == (2 if u[2] < 0.5 else 1)
+
+    # pinning ray 2, a round is 3 excursions and the path stops in the first
+    # one on ray 2; about half the paths miss ray 2 in round 0
+    stopped = stop_batch(config, StoppingRule.inverse_occupation(0.5, ray=2), run_id=7)
+    later_rounds = 0
+    for p in range(config.paths):
+        r, u = 0, round_draws(p, 0, 3)
+        while 1 not in np.floor(u[:3] * 5):
+            r += 1
+            u = round_draws(p, r, 3)
+        k = np.floor(u[:3] * 5).tolist().index(1)
+        later_rounds += r > 0
+        assert stopped.counts[p, 1] == 2
+        assert stopped.zero_visits[p] == 1 + 3 * r + k + (u[3 + k] < 0.5)
+    assert later_rounds > 0
 
 
 def test_conservation_every_path():
