@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import output
 from .errors import NonFiniteSamplesError, UsageError
 from .laws import ratio_power_cdf, spider_cdf
 from .rng import RngStream, composite_stream_id
@@ -101,15 +102,29 @@ class ConvergencePoint:
 
 def ks_one_sample(samples, cdf, *, name="ks1", seed=0, threshold=0.01,
                   rule="p_min") -> GofReport:
-    """Two-sided one-sample KS test against a callable reference CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    """Two-sided one-sample KS test against a callable elementwise reference CDF.
+
+    A sample already in ascending order is used as it is, and any other is
+    sorted into a copy.  The CDF and D+- are then taken over
+    ``output._CHUNK_ROWS`` sorted values at a time, so the only n-length
+    array is the sorted sample; the statistic is the same float as from the
+    whole-array formula.
+    """
+    x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 10:
         raise UsageError(f"need at least 10 samples, got {n}")
-    c = np.asarray(cdf(x), dtype=float)
-    d_plus = (np.arange(1, n + 1) / n - c).max()
-    d_minus = (c - np.arange(0, n) / n).max()
-    stat = float(max(d_plus, d_minus))
+    step = output._CHUNK_ROWS
+    if not all((x[lo + 1:lo + step + 1] >= x[lo:min(lo + step, n - 1)]).all()
+               for lo in range(0, n - 1, step)):
+        x = np.sort(x)
+    d_plus, d_minus = [], []
+    for lo in range(0, n, step):
+        c = np.asarray(cdf(x[lo:lo + step]), dtype=float)
+        i = np.arange(lo, lo + c.size)
+        d_plus.append(((i + 1) / n - c).max())
+        d_minus.append((c - i / n).max())
+    stat = float(max(np.max(d_plus), np.max(d_minus)))
     p = kolmogorov_sf(math.sqrt(n) * stat)
     return GofReport(name, stat, p, n, 0, seed, threshold, rule)
 
@@ -138,18 +153,56 @@ def ks_two_sample(a, b, *, name="ks2", seed=0, threshold=0.01,
 _MC_BAND = 4.0  # standard errors
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Count, mean and centred sum of squares of a functional's values, and
+    how many of them were not finite.
+
+    ``a.merge(b)`` is the state of a's values followed by b's (Chan, Golub
+    and LeVeque's pairwise update), so a sample folded chunk by chunk in a
+    fixed order has one state, whichever process made each chunk.  The state
+    of one array has numpy's own mean and centred sum of squares.
+    """
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    bad: int = 0
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        values = np.asarray(values, dtype=float)
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        if bad:
+            return cls(values.size, math.nan, math.nan, bad)
+        mean = values.mean()
+        dev = values - mean
+        return cls(values.size, float(mean), float(np.multiply(dev, dev, out=dev).sum()))
+
+    def merge(self, other: "Moments") -> "Moments":
+        # exact when either side is empty, so folds may start from Moments()
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(count, self.mean + delta * (other.count / count),
+                       self.m2 + other.m2 + delta * delta * (self.count * other.count / count),
+                       self.bad + other.bad)
+
+
 def mc_transform_check(values, target, *, name="mc", seed=0) -> GofReport:
     """Check |mean(values) - target| <= 4 standard errors, for a functional
-    ``values`` of iid draws made at ``seed``.  The statistic stored is the
-    standardised deviation, so the threshold is the band itself."""
-    values = np.asarray(values, dtype=float)
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise NonFiniteSamplesError(bad, values.size)
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
+    ``values`` of iid draws made at ``seed``: an array, or the
+    :class:`Moments` it was folded into chunk by chunk.  Any non-finite value
+    raises :class:`NonFiniteSamplesError` with the total count.  The
+    statistic stored is the standardised deviation, so the threshold is the
+    band itself."""
+    state = values if isinstance(values, Moments) else Moments.of(values)
+    if state.bad:
+        raise NonFiniteSamplesError(state.bad, state.count)
+    mean = state.mean
+    var = state.m2 / (state.count - 1) if state.count > 1 else math.nan
+    se = math.sqrt(var) / math.sqrt(state.count)
     stat = abs(mean - target) / se if se > 0 else (0.0 if mean == target else math.inf)
-    return GofReport(name, float(stat), None, values.size, 0, seed, _MC_BAND, "stat_max")
+    return GofReport(name, float(stat), None, state.count, 0, seed, _MC_BAND, "stat_max")
 
 
 # ---------------------------------------------------------------------------

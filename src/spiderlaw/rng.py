@@ -16,9 +16,10 @@ numbers; the runs in use are kept apart:
 - runs 0-3, walks: ``verify``'s occupation identity walks on runs 1-3 and
   draws its exact sampler from ``composite_stream_id(0, 0)``; the benchmark
   walks on runs 0-3; ``sample --law spider-walk`` walks on run 0;
-- run 8: the chunks of ``sample`` (see :mod:`spiderlaw.samplers`);
-- runs 64 and up: ``verify``'s suite batches, run 64 plus the task index
-  (see :mod:`spiderlaw.suites`).
+- run 8: ``sample``, chunk c in the low 32 bits (see
+  :mod:`spiderlaw.samplers`);
+- runs 64 and up: ``verify``'s transform batches, run 64 + k for task k and
+  chunk c in the low 32 bits (see :mod:`spiderlaw.suites`).
 """
 from __future__ import annotations
 

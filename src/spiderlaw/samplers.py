@@ -24,10 +24,11 @@ The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard normal N.
 
 A :class:`ChunkedSample` lays a large sample out in chunks of
 ``output._CHUNK_ROWS`` rows, chunk c drawn, redraws included, from its own
-Philox stream ``(seed, composite_stream_id(_SAMPLE_RUN_ID, c))`` (run 8 of
-the stream namespace listed in :mod:`spiderlaw.rng`), so
-:func:`save_sample_batch` can draw and write it one chunk per task without
-ever holding the whole sample.
+Philox stream ``(seed, composite_stream_id(run_id, c))``, so a sample is
+never held whole: :func:`save_sample_batch` draws and writes it one chunk
+per task on run 8 (``_SAMPLE_RUN_ID``), and ``verify``'s transform batches
+fold it into their bands chunk by chunk on runs 64 and up (see the stream
+namespace listed in :mod:`spiderlaw.rng`).
 """
 from __future__ import annotations
 
@@ -247,8 +248,8 @@ class ChunkedSample:
 
     Chunk c holds rows ``c * R`` up to ``(c + 1) * R``, R = ``output._CHUNK_ROWS``,
     and is drawn, its redraws included, from its own stream
-    ``RngStream(seed, composite_stream_id(_SAMPLE_RUN_ID, c))``.  So each
-    chunk is a pure function of (seed, c): ``count`` only says where the last
+    ``RngStream(seed, composite_stream_id(run_id, c))``.  So each chunk is a
+    pure function of (seed, run_id, c): ``count`` only says where the last
     chunk ends, and no chunk depends on which process draws it.
     """
 
@@ -256,6 +257,7 @@ class ChunkedSample:
     count: int
     seed: int
     width: int
+    run_id: int = _SAMPLE_RUN_ID
 
     def __len__(self):
         return self.count
@@ -269,7 +271,7 @@ class ChunkedSample:
         and the redraws they took."""
         meta = BatchMeta()
         lo = c * output._CHUNK_ROWS
-        rng = RngStream(self.seed, composite_stream_id(_SAMPLE_RUN_ID, c))
+        rng = RngStream(self.seed, composite_stream_id(self.run_id, c))
         rows = self.draw(rng, min(output._CHUNK_ROWS, self.count - lo), meta)
         return rows.reshape(-1, self.width).T, meta.redraws
 

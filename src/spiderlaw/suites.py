@@ -13,6 +13,11 @@ the usable CPUs and the reports are joined in task order, so they are the
 same bytes for any CPU count; ``run_suite("all")`` runs all of them as one
 map, after the deterministic suites in the calling process.  Maps nested in
 a task (the walk path groups of ``stop_batch``) run serially in its worker.
+
+A transform batch is a ``samplers.ChunkedSample`` on its own run, drawn one
+chunk at a time, and each band's functional is folded chunk by chunk into
+``gof.Moments``; so the only 1e6-draw array a task holds is the X^mu sample
+of its KS test.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ import numpy as np
 from .errors import UsageError
 from .gof import (
     GofReport,
+    Moments,
     cauchy_square_convergence,
     ks_one_sample,
     mc_transform_check,
@@ -44,8 +50,7 @@ from .laws import (
     stieltjes_transform,
 )
 from .parallel import ordered_map
-from .rng import RngStream, composite_stream_id
-from .samplers import sample_positive_stable, sample_ratio_X
+from .samplers import ChunkedSample, sample_positive_stable, sample_ratio_X
 
 TRANSFORM_MUS = (0.3, 0.5, 0.7)
 LAPLACE_LAMBDAS = (0.5, 1.0, 2.0)
@@ -73,10 +78,6 @@ _OCCUPATION_STEPS = 20_000
 _SUITE_RUN_BASE = 64
 
 
-def _stream(seed, index) -> RngStream:
-    return RngStream(seed, composite_stream_id(_SUITE_RUN_BASE + index, 0))
-
-
 def _deterministic_report(name, gap, tol) -> GofReport:
     return GofReport(name, float(gap), None, 0, 0, 0, float(tol), "stat_max")
 
@@ -91,42 +92,62 @@ def _reports(tasks):
 # seeded Monte-Carlo transform checks
 # ---------------------------------------------------------------------------
 
+def _batch(seed, index, draw):
+    """Task ``index``'s batch of ``TRANSFORM_SAMPLES`` draws of
+    ``draw(rng, size, meta)``, chunk by chunk: chunk c is drawn from stream
+    ``composite_stream_id(64 + index, c)``."""
+    batch = ChunkedSample(draw, TRANSFORM_SAMPLES, seed, 1, _SUITE_RUN_BASE + index)
+    for c in range(batch.chunks):
+        (values,), _ = batch.chunk(c)
+        yield values
+
+
+def _band_checks(seed, bands, chunks):
+    """One ``mc_transform_check`` per band ``(name, target, functional)``, the
+    functional folded over the chunks into :class:`Moments` in chunk order."""
+    states = [Moments()] * len(bands)
+    for values in chunks:
+        states = [state.merge(Moments.of(functional(values)))
+                  for state, (_, _, functional) in zip(states, bands)]
+    return [mc_transform_check(state, target, name=name, seed=seed)
+            for state, (name, target, _) in zip(states, bands)]
+
+
 def _stable_checks(seed, mu, index):
     """Laplace and fractional-moment bands of one batch of stable draws S."""
-    s = sample_positive_stable(mu, _stream(seed, index), TRANSFORM_SAMPLES)
-    buf = np.empty_like(s)
-    reports = []
-    for lam in LAPLACE_LAMBDAS:
-        np.exp(np.multiply(s, -lam, out=buf), out=buf)
-        reports.append(mc_transform_check(
-            buf, math.exp(-lam ** mu), name=f"laplace[mu={mu},lam={lam}]", seed=seed))
-    for order in MOMENT_ORDERS:
-        reports.append(mc_transform_check(
-            np.power(s, mu * order, out=buf), fractional_moment(order, mu),
-            name=f"moment[mu={mu},s={order}]", seed=seed))
-    return reports
+    bands = [(f"laplace[mu={mu},lam={lam}]", math.exp(-lam ** mu),
+              lambda s, lam=lam: np.exp(np.multiply(s, -lam)))
+             for lam in LAPLACE_LAMBDAS]
+    bands += [(f"moment[mu={mu},s={order}]", fractional_moment(order, mu),
+               lambda s, order=order: np.power(s, mu * order))
+              for order in MOMENT_ORDERS]
+    chunks = _batch(seed, index, functools.partial(sample_positive_stable, mu))
+    return _band_checks(seed, bands, chunks)
 
 
 def _ratio_checks(seed, mu, index):
     """Stieltjes and Mellin bands of one batch of ratios X = S / S', and the
-    KS test of X^mu against its closed-form CDF."""
-    x = sample_ratio_X(mu, _stream(seed, index), TRANSFORM_SAMPLES)
-    buf = np.empty_like(x)
-    reports = []
-    for t in STIELTJES_S:
-        np.multiply(x, t, out=buf)
-        buf += 1.0
-        reports.append(mc_transform_check(
-            np.divide(1.0, buf, out=buf), stieltjes_transform(t, mu),
-            name=f"stieltjes[mu={mu},s={t}]", seed=seed))
-    for frac in MELLIN_FRACTIONS:
-        reports.append(mc_transform_check(
-            np.power(x, frac * mu, out=buf), mellin_transform(frac * mu, mu),
-            name=f"mellin[mu={mu},s={frac * mu:g}]", seed=seed))
-    del buf
-    x **= mu
+    KS test of X^mu against its closed-form CDF.  X^mu is the one array kept
+    whole, since KS needs the whole sample; it is sorted in place."""
+    y = np.empty(TRANSFORM_SAMPLES)
+
+    def chunks():
+        lo = 0
+        for x in _batch(seed, index, functools.partial(sample_ratio_X, mu)):
+            np.power(x, mu, out=y[lo:lo + x.size])
+            lo += x.size
+            yield x
+
+    bands = [(f"stieltjes[mu={mu},s={t}]", stieltjes_transform(t, mu),
+              lambda x, t=t: 1.0 / (1.0 + np.multiply(x, t)))
+             for t in STIELTJES_S]
+    bands += [(f"mellin[mu={mu},s={frac * mu:g}]", mellin_transform(frac * mu, mu),
+               lambda x, frac=frac: np.power(x, frac * mu))
+              for frac in MELLIN_FRACTIONS]
+    reports = _band_checks(seed, bands, chunks())
+    y.sort()
     reports.append(ks_one_sample(
-        x, lambda y: ratio_power_cdf(y, mu), name=f"ratio_power_ks[mu={mu}]",
+        y, lambda v: ratio_power_cdf(v, mu), name=f"ratio_power_ks[mu={mu}]",
         seed=seed, threshold=RATIO_POWER_P_MIN,
     ))
     return reports
@@ -136,9 +157,11 @@ def transform_tasks(seed):
     """Laplace, Stieltjes, Mellin and fractional-moment bands at 4 sigma, and
     a KS test of X^mu, whose mean is infinite, against its closed-form CDF.
 
-    Per mu, one task draws a batch of stable draws S on stream 2k for the
-    Laplace and moment checks, and one a batch of ratios X = S / S' on
-    stream 2k + 1 for the others.  Reports within one task share their
+    Per mu, one task draws a batch of stable draws S on run 64 + 2k for the
+    Laplace and moment checks, and one a batch of ratios X = S / S' on run
+    64 + 2k + 1 for the others.  A batch is drawn and reduced one chunk of
+    ``output._CHUNK_ROWS`` draws at a time, chunk c from its own stream
+    ``composite_stream_id(run, c)``.  Reports within one task share their
     draws, so they are correlated.
     """
     tasks = []

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from spiderlaw import (
     verify_occupation_identity,
     write_reports_jsonl,
 )
-from spiderlaw import rng, walk
+from spiderlaw import output, rng, suites, walk
+from spiderlaw.gof import Moments
 
 
 def test_kolmogorov_sf_matches_scipy():
@@ -60,6 +62,23 @@ def test_ks_one_sample_degenerate_input():
 def test_ks_one_sample_needs_samples():
     with pytest.raises(UsageError):
         ks_one_sample([0.1] * 9, arcsine_cdf)
+
+
+@pytest.mark.parametrize("order", ["shuffled", "sorted"])
+def test_ks_one_sample_matches_the_whole_array_formula(order):
+    # the CDF and D+- are taken 2**14 sorted values at a time; a sample
+    # already in order is not copied.  Neither may move the statistic.
+    draws = sample_arcsine(RngStream(19, 0), 50_000)
+    if order == "sorted":
+        draws.sort()
+    x = np.sort(draws)
+    n = x.size
+    c = arcsine_cdf(x)
+    whole = float(max((np.arange(1, n + 1) / n - c).max(), (c - np.arange(0, n) / n).max()))
+    report = ks_one_sample(draws, arcsine_cdf, seed=19)
+    assert report.statistic == whole
+    assert report.p_value == kolmogorov_sf(math.sqrt(n) * whole)
+    assert -(-n // output._CHUNK_ROWS) == 4
 
 
 def test_ks_one_sample_self_consistency():
@@ -112,6 +131,53 @@ def test_mc_transform_check_rejects_nonfinite():
         values = 1.0 / np.zeros(100)
     with pytest.raises(NonFiniteSamplesError):
         mc_transform_check(values, 1.0)
+
+
+def test_chunked_moments_match_the_whole_array():
+    # a fixed array folded in chunks of 2**14, the last one partial, against
+    # numpy's mean and standard error of the whole array
+    values = np.exp(RngStream(23, 0).generator.standard_normal(100_000))
+    step = output._CHUNK_ROWS
+    state = Moments()
+    for lo in range(0, values.size, step):
+        state = state.merge(Moments.of(values[lo:lo + step]))
+    assert state.count == values.size and state.bad == 0
+    assert state.mean == pytest.approx(values.mean(), rel=1e-12)
+    assert math.sqrt(state.m2 / (state.count - 1)) == pytest.approx(values.std(ddof=1),
+                                                                      rel=1e-12)
+    se = values.std(ddof=1) / math.sqrt(values.size)
+    target = 1.6
+    chunked = mc_transform_check(state, target)
+    assert chunked.statistic == pytest.approx(abs(values.mean() - target) / se, rel=1e-12)
+    assert chunked.n1 == values.size
+    # one array is numpy's own mean and standard error, bit for bit
+    assert mc_transform_check(values, target).statistic == abs(values.mean() - target) / se
+
+
+def test_chunked_moments_count_every_nonfinite_value():
+    step = output._CHUNK_ROWS
+    values = np.ones(2 * step + 100)
+    values[-7] = np.inf
+    state = Moments()
+    for lo in range(0, values.size, step):
+        state = state.merge(Moments.of(values[lo:lo + step]))
+    with pytest.raises(NonFiniteSamplesError) as err:
+        mc_transform_check(state, 1.0)
+    assert (err.value.count, err.value.total) == (1, values.size)
+
+
+def test_transform_tasks_memory_is_bounded():
+    # each task draws and reduces its batch one chunk of 2**14 draws at a
+    # time; only the ratio task keeps an n-length array, X^mu for its KS test
+    for task, index, bound in ((suites._stable_checks, 2, 4), (suites._ratio_checks, 3, 20)):
+        tracemalloc.start()
+        try:
+            reports = task(1, 0.5, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.n1 == 1_000_000 for r in reports)
+        assert peak < bound * 2 ** 20, (task.__name__, peak)
 
 
 def test_transform_suite_draw_budget(monkeypatch):

@@ -8,6 +8,7 @@ is made to fail.
 """
 import contextlib
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -31,7 +32,7 @@ from spiderlaw import (
     simulate_batch,
     stop_batch,
 )
-from spiderlaw import cli, errors, output, samplers, suites, walk
+from spiderlaw import cli, errors, gof, laws, output, samplers, suites, walk
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
 from spiderlaw.parallel import ordered_map
@@ -343,3 +344,42 @@ def test_verify_reports_do_not_depend_on_the_cpu_count(monkeypatch):
     assert sizes == [2, 4]
     assert lines[2] == lines[1] and lines[64] == lines[1]
     assert len(lines[1]) == 85
+
+
+def test_transform_batches_follow_the_chunk_stream_layout(monkeypatch):
+    # 20,000 draws make two chunks, the second one partial; chunk c of task
+    # k's batch is drawn from stream (seed, (64 + k, c)) and folded in order
+    monkeypatch.setattr(suites, "TRANSFORM_SAMPLES", 20_000)
+    seed = 5
+    sizes = (output._CHUNK_ROWS, 20_000 - output._CHUNK_ROWS)
+
+    def chunks(k, draw):
+        return [draw(RngStream(seed, composite_stream_id(64 + k, c)), size)
+                for c, size in enumerate(sizes)]
+
+    def band(name, target, values):
+        state = gof.Moments()
+        for v in values:
+            state = state.merge(gof.Moments.of(v))
+        return gof.mc_transform_check(state, target, name=name, seed=seed)
+
+    # the stable batch at mu = 0.7 is task 4, the ratio batch at mu = 0.3 task 1
+    mu = 0.7
+    s = chunks(4, lambda rng, size: samplers.sample_positive_stable(mu, rng, size))
+    rebuilt = [band(f"laplace[mu={mu},lam={lam}]", math.exp(-lam ** mu),
+                    [np.exp(-lam * v) for v in s]) for lam in suites.LAPLACE_LAMBDAS]
+    rebuilt += [band(f"moment[mu={mu},s={order}]", laws.fractional_moment(order, mu),
+                     [v ** (mu * order) for v in s]) for order in suites.MOMENT_ORDERS]
+    mu = 0.3
+    x = chunks(1, lambda rng, size: samplers.sample_ratio_X(mu, rng, size))
+    rebuilt += [band(f"stieltjes[mu={mu},s={t}]", laws.stieltjes_transform(t, mu),
+                     [1.0 / (1.0 + t * v) for v in x]) for t in suites.STIELTJES_S]
+    rebuilt += [band(f"mellin[mu={mu},s={0.25 * mu:g}]", laws.mellin_transform(0.25 * mu, mu),
+                     [v ** (0.25 * mu) for v in x])]
+    rebuilt.append(gof.ks_one_sample(
+        np.concatenate(x) ** mu, lambda v: laws.ratio_power_cdf(v, mu),
+        name=f"ratio_power_ks[mu={mu}]", seed=seed, threshold=suites.RATIO_POWER_P_MIN))
+
+    reports = {r.test_name: r.to_json_line() for r in suites.transform_suite(seed)}
+    assert [reports[r.test_name] for r in rebuilt] == [r.to_json_line() for r in rebuilt]
+    assert all(r.n1 == 20_000 for r in rebuilt)

@@ -199,7 +199,7 @@ def test_first_return_lengths_on_unit_interval_edges():
     assert np.isfinite(lengths[2]) and lengths[2] > 2.0 ** 21
 
 
-def test_far_tail_first_return_inversion_is_exact_below_2_44():
+def test_random_draws_past_the_table_invert_against_the_float_tail():
     # uniform u past the table: the least k with P(T > 2k) < u, where
     # P(T > 2k) = (k+1)_{-1/2} / sqrt(pi) in float resolves it (k < 2**44)
     from scipy.special import poch
