@@ -64,6 +64,5 @@ from .walk import (
     StopBatch,
     StoppingRule,
     run_walk_batch,
-    simulate_batch,
     stop_batch,
 )

@@ -9,8 +9,9 @@ verify         run a pre-registered verification suite, emit JSON-line reports
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad arguments
 or an unusable --out).  The seed comes from --seed, else the SPIDER_SEED
-environment variable, else 0.  With --deterministic all outputs (including
-manifests) are byte-identical across reruns.
+environment variable, else 0, and must lie in [0, 2**64).  With
+--deterministic all outputs (including manifests) are byte-identical across
+reruns.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .samplers import (
     save_sample_batch,
 )
 from .suites import SUITE_NAMES, run_suite
-from .walk import SpiderConfig, run_walk_batch
+from .walk import SpiderConfig, StoppingRule, run_walk_batch
 
 
 @dataclass
@@ -72,15 +73,16 @@ class RunManifest:
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("SPIDER_SEED")
-    if env is not None:
+    """--seed, else SPIDER_SEED, else 0: a 64-bit word of every stream's key."""
+    if value is None:
+        env = os.environ.get("SPIDER_SEED", "0")
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise UsageError(f"SPIDER_SEED is not an integer: {env!r}") from exc
-    return 0
+    if not 0 <= value < 1 << 64:
+        raise UsageError(f"seed must be in [0, 2**64): {value}")
+    return value
 
 
 def _parse_list(text, kind) -> list:
@@ -149,7 +151,7 @@ def cmd_sample(args) -> int:
         if args.steps < 1000:  # a coarser lattice is too far from the limit laws
             raise UsageError(f"--law spider-walk needs --steps >= 1000: {args.steps}")
         config = SpiderConfig(n=args.n, steps=args.steps, paths=count, seed=seed)
-        run_walk_batch(config, None, csv_path, json_path,
+        run_walk_batch(config, StoppingRule.fixed_time(), csv_path, json_path,
                        record_wall_time=not args.deterministic)
         manifest.outputs += [str(csv_path), str(json_path)]
     else:
@@ -176,6 +178,7 @@ def _emit_figure(args, parameters, laws, labels, title) -> int:
     if clash:
         raise UsageError(f"curves would share the output {', '.join(clash)}; "
                          "give distinct values")
+    seed = _resolve_seed(args.seed)
     out = Path(args.out)
     svg_path = prepare_out(out.parent / f"{out.name}.svg")
     manifest_path = prepare_out(out.parent / f"{out.name}.manifest.json")
@@ -183,7 +186,7 @@ def _emit_figure(args, parameters, laws, labels, title) -> int:
     for csv_path in csv_paths:
         prepare_out(sidecar_path(csv_path))
     manifest = RunManifest.begin(args.command, {**parameters, "grid": args.grid},
-                                 _resolve_seed(args.seed), args.deterministic)
+                                 seed, args.deterministic)
     curves = []
     for law, csv_path in zip(laws, csv_paths):
         curve = build_density_curve(law, interior_points=args.grid).validate()

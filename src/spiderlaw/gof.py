@@ -188,14 +188,13 @@ class Moments:
                        self.bad + other.bad)
 
 
-def mc_transform_check(values, target, *, name="mc", seed=0) -> GofReport:
-    """Check |mean(values) - target| <= 4 standard errors, for a functional
-    ``values`` of iid draws made at ``seed``: an array, or the
-    :class:`Moments` it was folded into chunk by chunk.  Any non-finite value
-    raises :class:`NonFiniteSamplesError` with the total count.  The
-    statistic stored is the standardised deviation, so the threshold is the
-    band itself."""
-    state = values if isinstance(values, Moments) else Moments.of(values)
+def mc_transform_check(state: Moments, target, *, name="mc", seed=0) -> GofReport:
+    """Check |mean - target| <= 4 standard errors, for the :class:`Moments`
+    of a functional of iid draws made at ``seed``, folded chunk by chunk (or
+    ``Moments.of`` one array).  Any non-finite value raises
+    :class:`NonFiniteSamplesError` with the total count.  The statistic
+    stored is the standardised deviation, so the threshold is the band
+    itself."""
     if state.bad:
         raise NonFiniteSamplesError(state.bad, state.count)
     mean = state.mean

@@ -41,7 +41,7 @@ import numpy as np
 from . import output
 from .errors import ParameterDomainError
 from .laws import _expit, _validate_mu, _validate_p, _validate_rays
-from .output import sidecar_path, sliced, write_csv, write_json
+from .output import sidecar_path, write_csv, write_json
 from .rng import RngStream, composite_stream_id
 
 
@@ -276,34 +276,28 @@ class ChunkedSample:
         return rows.reshape(-1, self.width).T, meta.redraws
 
 
-def save_sample_batch(csv_path, values, law: str, parameters: dict, seed: int):
+def save_sample_batch(csv_path, values: ChunkedSample, law: str, parameters: dict,
+                      seed: int):
     """Write samples as CSV plus a JSON sidecar describing the batch.
 
-    ``values`` is an array with one row per sample, or a
-    :class:`ChunkedSample`, whose chunks are drawn and formatted one task
-    each, so the sample is never held whole.  One column per coordinate; the
-    header carries the law name and its parameters so the CSV is
-    self-describing.  The sidecar's ``redraw_count`` is the sum of every
-    chunk's redraws (0 for an array), and ``stream_count`` the number of
-    chunk streams (one for an array).
+    The chunks of ``values`` are drawn and formatted one task each, so the
+    sample is never held whole.  One column per coordinate; the header
+    carries the law name and its parameters so the CSV is self-describing.
+    The sidecar's ``redraw_count`` is the sum of every chunk's redraws, and
+    ``stream_count`` the number of chunk streams.
     """
-    if isinstance(values, ChunkedSample):
-        width, streams, chunk = values.width, values.chunks, values.chunk
-    else:
-        arr = np.asarray(values, dtype=float).reshape(len(values), -1)
-        width, streams, chunk = arr.shape[1], 1, sliced(arr.T)
     suffix = "".join(f"_{k}{v:g}" for k, v in sorted(parameters.items()))
-    if width == 1:
+    if values.width == 1:
         header = [f"{law}{suffix}"]
     else:
-        header = [f"{law}{suffix}_ray{j + 1}" for j in range(width)]
-    redraws = write_csv(csv_path, header, len(values), chunk)
+        header = [f"{law}{suffix}_ray{j + 1}" for j in range(values.width)]
+    redraws = write_csv(csv_path, header, len(values), values.chunk)
     sidecar = sidecar_path(csv_path)
     write_json(sidecar, {
         "law": law,
         "parameters": dict(parameters),
         "seed": int(seed),
-        "stream_count": streams,
+        "stream_count": values.chunks,
         "n_samples": len(values),
         "redraw_count": redraws,
     })

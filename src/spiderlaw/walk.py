@@ -7,8 +7,9 @@ to the ray being walked (a step leaving the origin counts for the freshly
 chosen ray), so occupation counts always sum exactly to the number of steps;
 the origin itself carries no occupation.
 
-One excursion engine serves plain walks and all three stopping rules.  A
-path is the iid sequence of its excursions away from the origin, each a
+One excursion engine serves all three stopping rules, for any n >= 1; a
+plain walk of ``steps`` steps is the fixed-time rule at level 1.  A path is
+the iid sequence of its excursions away from the origin, each a
 (ray, first-return length) pair: the ray is uniform and the length follows
 the first-return law P(T > 2k) = C(2k, k) 4**-k of the +/-1 walk (Feller,
 vol. 1, ch. III).  Every rule is a running total crossing a threshold --
@@ -45,7 +46,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, UsageError
+from .errors import ParameterDomainError
 from .output import sliced, write_csv, write_json
 from .parallel import ordered_map
 from .rng import composite_stream_id, philox_state
@@ -64,11 +65,7 @@ _EXACT_STEPS = 1 << 53  # step totals are float64, exact only below here
 
 @dataclass(frozen=True)
 class SpiderConfig:
-    """Walk geometry and Monte-Carlo budget.
-
-    ``n = 1`` (a reflecting walk) is allowed for plain walks; stopping rules
-    need two rays.
-    """
+    """Walk geometry and Monte-Carlo budget; ``n = 1`` is a reflecting walk."""
 
     n: int
     steps: int
@@ -162,22 +159,18 @@ class StoppingRule:
         return math.floor(self.level * math.sqrt(config.steps))
 
 
-_PLAIN_WALK = StoppingRule.fixed_time(1.0)
-
-
 @dataclass
 class StopBatch:
-    """Column arrays for a batch of stopped paths; discarded rows are flagged.
+    """Column arrays for a batch of paths stopped by ``rule``; discarded rows
+    are flagged.
 
     A path is discarded when its step total reaches 2**53, past which float64
     totals are no longer exact integers: at 20,000 steps, about one stopped
     by local time in a million.
-
-    ``rule`` is None for a plain walk of ``config.steps`` steps.
     """
 
     config: SpiderConfig
-    rule: StoppingRule | None
+    rule: StoppingRule
     run_id: int
     counts: np.ndarray
     stopped_step: np.ndarray
@@ -424,29 +417,16 @@ def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dic
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _check_stoppable(config: SpiderConfig, rule: StoppingRule):
-    rule.validate_for(config)
-    if config.n < 2:
-        raise UsageError("stopping rules need at least 2 rays")
-
-
-def simulate_batch(config: SpiderConfig, run_id: int = 0) -> StopBatch:
-    """Simulate ``config.paths`` independent paths of ``config.steps`` steps.
-
-    A plain walk is the fixed-time rule at level 1; the batch carries
-    ``rule=None`` and never discards a path.
-    """
-    return StopBatch(config=config, rule=None, run_id=run_id,
-                     **_resolve_batch(config, _PLAIN_WALK, run_id))
-
-
 # ---------------------------------------------------------------------------
 # stopping rules
 # ---------------------------------------------------------------------------
 
 def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = 0) -> StopBatch:
-    """Stop every path of the batch by ``rule``; discards are flagged, not dropped."""
-    _check_stoppable(config, rule)
+    """Stop every path of the batch by ``rule``; discards are flagged, not dropped.
+
+    A plain walk of ``config.steps`` steps is ``StoppingRule.fixed_time()``.
+    """
+    rule.validate_for(config)
     return StopBatch(config=config, rule=rule, run_id=run_id,
                      **_resolve_batch(config, rule, run_id))
 
@@ -475,30 +455,22 @@ def write_batch_csv(csv_path, batch: StopBatch):
         + [np.where(disc, "true", "false")]))
 
 
-def write_run_manifest(path, batch: StopBatch, wall_time_s: float | None):
-    """JSON manifest of one run; pass ``wall_time_s=None`` for byte-stable output."""
-    config, rule = batch.config, batch.rule
-    write_json(path, {
+def run_walk_batch(config: SpiderConfig, rule: StoppingRule, csv_path,
+                   manifest_path, run_id: int = 0, record_wall_time: bool = True):
+    """Stop the batch by ``rule``, then write the per-path CSV and the JSON
+    run manifest; ``record_wall_time=False`` writes a null ``wall_time_s``,
+    for byte-stable output."""
+    t0 = time.monotonic()
+    batch = stop_batch(config, rule, run_id=run_id)
+    write_batch_csv(csv_path, batch)
+    write_json(manifest_path, {
         "n": config.n,
         "steps": config.steps,
         "paths": config.paths,
         "seed": config.seed,
-        "run_id": batch.run_id,
-        "rule": None if rule is None else asdict(rule),
+        "run_id": run_id,
+        "rule": asdict(rule),
         "discard_count": batch.discard_count,
-        "wall_time_s": wall_time_s,
+        "wall_time_s": time.monotonic() - t0 if record_wall_time else None,
     })
-
-
-def run_walk_batch(config: SpiderConfig, rule: StoppingRule | None, csv_path,
-                   manifest_path, run_id: int = 0, record_wall_time: bool = True):
-    """Simulate, then emit the per-path CSV and the JSON run manifest."""
-    t0 = time.monotonic()
-    if rule is None:
-        batch = simulate_batch(config, run_id=run_id)
-    else:
-        batch = stop_batch(config, rule, run_id=run_id)
-    write_batch_csv(csv_path, batch)
-    wall = time.monotonic() - t0 if record_wall_time else None
-    write_run_manifest(manifest_path, batch, wall)
     return batch

@@ -14,6 +14,7 @@ from spiderlaw import (
     LawSpec,
     RngStream,
     SpiderConfig,
+    StoppingRule,
     arcsine_cdf,
     arcsine_pdf,
     cauchy_square_convergence,
@@ -22,9 +23,9 @@ from spiderlaw import (
     ks_one_sample,
     ratio_A_pdf,
     sample_occupation_exact,
-    simulate_batch,
     spider_cdf,
     spider_pdf,
+    stop_batch,
     verify_occupation_identity,
 )
 from spiderlaw.cli import main
@@ -135,7 +136,7 @@ def test_criterion_07_lattice_convergence():
     stats = []
     for run, steps in enumerate((1_000, 10_000, 100_000)):
         config = SpiderConfig(n=3, steps=steps, paths=5000, seed=SEED)
-        batch = simulate_batch(config, run_id=run)
+        batch = stop_batch(config, StoppingRule.fixed_time(), run_id=run)
         report = ks_one_sample(batch.fractions[:, 0], lambda z: spider_cdf(z, 3),
                                seed=SEED)
         stats.append(report.statistic)
@@ -149,7 +150,7 @@ def test_criterion_07_lattice_convergence():
 def test_criterion_08_classical_arcsine_functionals():
     t0 = time.monotonic()
     config = SpiderConfig(n=2, steps=10_000, paths=5000, seed=SEED)
-    batch = simulate_batch(config, run_id=7)
+    batch = stop_batch(config, StoppingRule.fixed_time(), run_id=7)
     rep_zero = ks_one_sample(batch.last_zero_fraction, arcsine_cdf, seed=SEED,
                              threshold=0.02, rule="stat_max")
     rep_occ = ks_one_sample(batch.fractions[:, 0], arcsine_cdf, seed=SEED,

@@ -268,6 +268,28 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "c")]) == 2
 
 
+def test_seed_outside_64_bits_is_refused_before_any_output(tmp_path, capsys):
+    # figure-* draws nothing, so only the CLI itself can refuse a seed that no
+    # stream could be keyed on
+    for seed in (-5, 2 ** 64):
+        out = tmp_path / str(seed) / "fig"
+        assert main(["figure-spider", "--n", "3", "--seed", str(seed),
+                     "--out", str(out)]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+
+def test_seed_env_outside_64_bits_is_refused(tmp_path, monkeypatch, capsys):
+    # nor does the convergence suite
+    out = tmp_path / "r" / "reports.jsonl"
+    monkeypatch.setenv("SPIDER_SEED", "-3")
+    assert main(["verify", "--suite", "convergence", "--out", str(out)]) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not out.parent.exists()
+    monkeypatch.setenv("SPIDER_SEED", str(2 ** 64 - 1))
+    assert main(["verify", "--suite", "convergence", "--out", str(out)]) == 0
+
+
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------

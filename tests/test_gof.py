@@ -118,11 +118,11 @@ def test_p_value_decreases_with_statistic():
 
 def test_mc_transform_check_calibration():
     draws = RngStream(11, 0).generator.standard_normal(200_000)
-    passes = mc_transform_check(draws, 0.0, name="mean0", seed=11)
+    passes = mc_transform_check(Moments.of(draws), 0.0, name="mean0", seed=11)
     assert passes.passed
     assert (passes.n1, passes.seed) == (200_000, 11)
     # a 0.05 shift is ~22 standard errors at this sample size
-    fails = mc_transform_check(draws, 0.05, name="mean-shifted", seed=11)
+    fails = mc_transform_check(Moments.of(draws), 0.05, name="mean-shifted", seed=11)
     assert not fails.passed
 
 
@@ -130,7 +130,7 @@ def test_mc_transform_check_rejects_nonfinite():
     with np.errstate(divide="ignore"):
         values = 1.0 / np.zeros(100)
     with pytest.raises(NonFiniteSamplesError):
-        mc_transform_check(values, 1.0)
+        mc_transform_check(Moments.of(values), 1.0)
 
 
 def test_chunked_moments_match_the_whole_array():
@@ -151,7 +151,8 @@ def test_chunked_moments_match_the_whole_array():
     assert chunked.statistic == pytest.approx(abs(values.mean() - target) / se, rel=1e-12)
     assert chunked.n1 == values.size
     # one array is numpy's own mean and standard error, bit for bit
-    assert mc_transform_check(values, target).statistic == abs(values.mean() - target) / se
+    whole = mc_transform_check(Moments.of(values), target)
+    assert whole.statistic == abs(values.mean() - target) / se
 
 
 def test_chunked_moments_count_every_nonfinite_value():

@@ -9,9 +9,18 @@ import io
 
 import numpy as np
 
-from spiderlaw import LawKind, LawSpec, SpiderConfig, StopBatch, output, save_sample_batch
+from spiderlaw import (
+    LawKind,
+    LawSpec,
+    SpiderConfig,
+    StopBatch,
+    StoppingRule,
+    output,
+    save_sample_batch,
+)
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
+from spiderlaw.samplers import ChunkedSample
 from spiderlaw.walk import write_batch_csv
 
 FLOATS = [0.0, 1.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2]
@@ -28,11 +37,21 @@ def _read_back(path):
         return list(csv.reader(fh))
 
 
+def _fixed_sample(values, width):
+    """A sample whose chunk c is rows c R up to (c + 1) R of ``values``, R =
+    ``output._CHUNK_ROWS``; the low 32 bits of its stream id are c."""
+    def draw(rng, size, meta):
+        lo = rng.stream_id % (1 << 32) * output._CHUNK_ROWS
+        return values[lo:lo + size]
+
+    return ChunkedSample(draw, len(values), 0, width)
+
+
 def test_sample_batch_format(tmp_path):
     # enough rows to span several write chunks
     values = np.resize(FLOATS, (40_000, 2))
     path = tmp_path / "s.csv"
-    save_sample_batch(path, values, "occupation", {"n": 2}, seed=0)
+    save_sample_batch(path, _fixed_sample(values, 2), "occupation", {"n": 2}, seed=0)
     rows = [["occupation_n2_ray1", "occupation_n2_ray2"]]
     rows += [[repr(float(x)) for x in row] for row in values]
     assert path.read_bytes() == _csv_writer_bytes(rows)
@@ -40,7 +59,7 @@ def test_sample_batch_format(tmp_path):
     assert np.array_equal(parsed, values)
 
     path = tmp_path / "one.csv"
-    save_sample_batch(path, np.array(FLOATS), "arcsine", {}, seed=0)
+    save_sample_batch(path, _fixed_sample(np.array(FLOATS), 1), "arcsine", {}, seed=0)
     assert path.read_bytes() == _csv_writer_bytes(
         [["arcsine"]] + [[repr(x)] for x in FLOATS])
 
@@ -62,7 +81,7 @@ def test_batch_csv_format(tmp_path):
     counts = np.array([FLOATS[0:2], FLOATS[2:4], [7.0, 9.0], FLOATS[4:6]])
     batch = StopBatch(
         config=SpiderConfig(n=2, steps=10, paths=4),
-        rule=None, run_id=0, counts=counts,
+        rule=StoppingRule.fixed_time(), run_id=0, counts=counts,
         stopped_step=np.array([1, 1, 0, 1]),
         zero_visits=np.array([1, 2, 0, 10**15]),
         last_zero_step=np.array([0, 1, 0, 1]),

@@ -28,8 +28,6 @@ from spiderlaw import (
     composite_stream_id,
     sample_occupation_exact,
     sample_stable_half,
-    save_sample_batch,
-    simulate_batch,
     stop_batch,
 )
 from spiderlaw import cli, errors, gof, laws, output, samplers, suites, walk
@@ -191,11 +189,6 @@ def test_a_daemonic_worker_maps_serially(monkeypatch):
 ROWS = 1000  # 16 chunks of 64 rows
 
 
-def _sample_table(path):
-    values = np.random.default_rng(3).random((ROWS, 3))
-    save_sample_batch(path, values, "occupation", {"n": 3}, seed=0)
-
-
 def _drawn_table(path, count=ROWS, law="occupation", seed=2):
     """``sample`` a law into ``path``; returns its sidecar."""
     argv = ["sample", "--law", law, "--count", str(count), "--seed", str(seed),
@@ -216,13 +209,13 @@ def _walk_table(path):
     counts = rng.random((ROWS, 2)) * stopped[:, None]
     write_batch_csv(path, StopBatch(
         config=SpiderConfig(n=2, steps=10, paths=ROWS),
-        rule=None, run_id=0, counts=counts, stopped_step=stopped,
+        rule=StoppingRule.fixed_time(), run_id=0, counts=counts, stopped_step=stopped,
         zero_visits=rng.integers(1, 1000, ROWS), last_zero_step=stopped // 2,
         discarded=discarded))
 
 
-@pytest.mark.parametrize("write", [_sample_table, _drawn_table, _curve_table, _walk_table],
-                         ids=["sample", "drawn-sample", "curve", "walk"])
+@pytest.mark.parametrize("write", [_drawn_table, _curve_table, _walk_table],
+                         ids=["drawn-sample", "curve", "walk"])
 def test_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, write):
     monkeypatch.setattr(output, "_CHUNK_ROWS", 64)
     sizes = _pool_sizes(monkeypatch)
@@ -289,17 +282,11 @@ def test_sample_sidecar_counts_every_chunk(monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 
 _RULES = {
-    "plain": None,
+    "plain": StoppingRule.fixed_time(),
     "fixed_time": StoppingRule.fixed_time(0.8),
     "inverse_occupation": StoppingRule.inverse_occupation(0.5, ray=2),
     "inverse_local_time": StoppingRule.inverse_local_time(1.0),
 }
-
-
-def _run(config, rule):
-    if rule is None:
-        return simulate_batch(config, run_id=5)
-    return stop_batch(config, rule, run_id=5)
 
 
 @pytest.mark.parametrize("kind", list(_RULES))
@@ -310,16 +297,16 @@ def test_walk_columns_do_not_depend_on_the_cpu_count(monkeypatch, kind):
         # a bound lowered to 4x the horizon makes discards happen
         monkeypatch.setattr(walk, "_EXACT_STEPS", 4 * config.steps)
     # one group of every path, before the round is shrunk to 10+ groups
-    reference = _run(config, rule)
+    reference = stop_batch(config, rule, run_id=5)
     monkeypatch.setattr(walk, "_ROUND_ELEMENTS", 512)
     sizes = _pool_sizes(monkeypatch)
     for cpus in CPUS:
         _use_cpus(monkeypatch, cpus)
-        batch = _run(config, rule)
+        batch = stop_batch(config, rule, run_id=5)
         for column in ("counts", "stopped_step", "zero_visits", "last_zero_step",
                        "discarded"):
             assert np.array_equal(getattr(batch, column), getattr(reference, column))
-    groups = -(-config.paths // (512 // walk._block_size(config, rule or walk._PLAIN_WALK)))
+    groups = -(-config.paths // (512 // walk._block_size(config, rule)))
     assert 10 <= groups <= 128
     assert sizes == [2, groups // 2]
     if kind == "inverse_local_time":

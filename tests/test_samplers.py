@@ -23,7 +23,7 @@ from spiderlaw import (
     sample_stable_half,
     save_sample_batch,
 )
-from spiderlaw.samplers import _clean, sample_ratio_power
+from spiderlaw.samplers import ChunkedSample, _clean, sample_ratio_power
 
 
 def _mc_band(values, target, band=4.0):
@@ -291,7 +291,8 @@ def test_samplers_require_a_size():
 def test_save_sample_batch_roundtrip(tmp_path):
     rows = sample_occupation_exact(3, RngStream(5, 0), 100)
     csv_path = tmp_path / "occ.csv"
-    sidecar = save_sample_batch(csv_path, rows, "occupation", {"n": 3}, seed=5)
+    sample = ChunkedSample(lambda rng, size, meta: rows, 100, 5, width=3)
+    sidecar = save_sample_batch(csv_path, sample, "occupation", {"n": 3}, seed=5)
     text = csv_path.read_text().splitlines()
     assert text[0] == "occupation_n3_ray1,occupation_n3_ray2,occupation_n3_ray3"
     assert len(text) == 101
@@ -300,5 +301,5 @@ def test_save_sample_batch_roundtrip(tmp_path):
     info = json.loads((tmp_path / "occ.json").read_text())
     assert info["law"] == "occupation"
     assert info["n_samples"] == 100
-    assert info["redraw_count"] == 0
+    assert info["redraw_count"] == 0 and info["stream_count"] == 1
     assert sidecar.endswith("occ.json")

@@ -1,6 +1,6 @@
 """The runtime needs numpy alone: the test-only packages stay out of a run,
-and a bare import starts no process machinery.  The benchmark's tracer still
-finds every call site it rebinds."""
+and a bare import starts no process machinery.  The README's library example
+runs, and the benchmark's tracer still finds every call site it rebinds."""
 import json
 import os
 import subprocess
@@ -48,6 +48,16 @@ def test_the_float_kernel_loads_with_the_first_csv_not_with_the_package(tmp_path
                          env=env, check=True, capture_output=True, text=True).stdout
     assert out.split() == ["False", "True"]
     assert (tmp_path / "t.csv").read_bytes() == b"n\r\n1.0\r\n"
+
+
+def test_the_readme_library_example_runs():
+    # a public name removed from the package but left in the README fails here
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    subprocess.run([sys.executable, "-c", example], env=env, check=True,
+                   capture_output=True, text=True)
 
 
 def test_the_benchmark_tracer_records_its_spans():

@@ -17,7 +17,6 @@ from spiderlaw import (
     composite_stream_id,
     ks_one_sample,
     ks_two_sample,
-    simulate_batch,
     stop_batch,
     verify_occupation_identity,
 )
@@ -27,8 +26,6 @@ from spiderlaw.walk import (
     _first_return_lengths,
     _return_tail_table,
     run_walk_batch,
-    write_batch_csv,
-    write_run_manifest,
 )
 
 
@@ -86,7 +83,7 @@ def test_stopping_rule_validation():
 def test_batch_reproducible_and_size_independent():
     # path p runs on its own stream, so it is row p of a batch of any size
     config = SpiderConfig(n=3, steps=1500, paths=300, seed=17)
-    for run in (lambda c: simulate_batch(c, run_id=2),
+    for run in (lambda c: stop_batch(c, StoppingRule.fixed_time(), run_id=2),
                 lambda c: stop_batch(c, StoppingRule.inverse_local_time(1.0), run_id=3),
                 lambda c: stop_batch(c, StoppingRule.inverse_occupation(0.5, ray=2),
                                      run_id=4)):
@@ -97,22 +94,22 @@ def test_batch_reproducible_and_size_independent():
             assert np.array_equal(getattr(a, column)[:40], getattr(c, column))
 
 
+def _round_draws(config, run_id, p, r, k):
+    """Round r of path p: Philox keyed (seed, composite_stream_id(run_id, p))
+    at counter (0, 0, 0, r), which draws k ray uniforms, then k length
+    uniforms, for a round of k excursions."""
+    key = np.array([config.seed, composite_stream_id(run_id, p)], dtype=np.uint64)
+    bit_generator = np.random.Philox(key=key, counter=[0, 0, 0, r])
+    return np.random.Generator(bit_generator).random(2 * k)
+
+
 def test_path_draws_follow_the_philox_key_layout():
-    # round r of path p is Philox keyed (seed, composite_stream_id(run, p)) at
-    # counter (0, 0, 0, r); a round of k excursions draws k ray uniforms, then
-    # k length uniforms, and an excursion returns at once iff its length
-    # uniform is below 1/2
+    # an excursion returns at once iff its length uniform is below 1/2; at 2
+    # steps a round is 2 excursions, the first picks the ray floor(n u[0])
     config = SpiderConfig(n=5, steps=2, paths=64, seed=2 ** 64 - 3)
-
-    def round_draws(p, r, k):
-        key = np.array([config.seed, composite_stream_id(7, p)], dtype=np.uint64)
-        bit_generator = np.random.Philox(key=key, counter=[0, 0, 0, r])
-        return np.random.Generator(bit_generator).random(2 * k)
-
-    # at 2 steps a round is 2 excursions, the first picks the ray floor(n u[0])
-    batch = simulate_batch(config, run_id=7)
+    batch = stop_batch(config, StoppingRule.fixed_time(), run_id=7)
     for p in range(config.paths):
-        u = round_draws(p, 0, 2)
+        u = _round_draws(config, 7, p, 0, 2)
         assert batch.counts[p, int(u[0] * 5)] == 2
         assert batch.zero_visits[p] == (2 if u[2] < 0.5 else 1)
 
@@ -121,10 +118,10 @@ def test_path_draws_follow_the_philox_key_layout():
     stopped = stop_batch(config, StoppingRule.inverse_occupation(0.5, ray=2), run_id=7)
     later_rounds = 0
     for p in range(config.paths):
-        r, u = 0, round_draws(p, 0, 3)
+        r, u = 0, _round_draws(config, 7, p, 0, 3)
         while 1 not in np.floor(u[:3] * 5):
             r += 1
-            u = round_draws(p, r, 3)
+            u = _round_draws(config, 7, p, r, 3)
         k = np.floor(u[:3] * 5).tolist().index(1)
         later_rounds += r > 0
         assert stopped.counts[p, 1] == 2
@@ -135,26 +132,18 @@ def test_path_draws_follow_the_philox_key_layout():
 def test_conservation_every_path():
     for n in (1, 2, 5):
         config = SpiderConfig(n=n, steps=2048, paths=200, seed=3)
-        batch = simulate_batch(config)
+        batch = stop_batch(config, StoppingRule.fixed_time())
         assert (batch.counts.sum(axis=1) == 2048).all()
+        assert (batch.stopped_step == 2048).all() and batch.discard_count == 0
         assert (batch.zero_visits >= 1).all()
         assert (batch.last_zero_step <= 2048).all()
-
-
-def test_fixed_time_stop_equals_plain_batch():
-    config = SpiderConfig(n=2, steps=1024, paths=100, seed=5)
-    walk = simulate_batch(config, run_id=9)
-    stopped = stop_batch(config, StoppingRule.fixed_time(1.0), run_id=9)
-    assert np.array_equal(walk.counts, stopped.counts)
-    assert (stopped.stopped_step == 1024).all()
-    assert stopped.discard_count == 0
 
 
 def test_exact_landing_on_the_horizon():
     # the first excursion has length 2 with probability 1/2; when it ends
     # exactly at the horizon it is complete and the path ends at the origin
     config = SpiderConfig(n=3, steps=2, paths=4000, seed=73)
-    batch = simulate_batch(config)
+    batch = stop_batch(config, StoppingRule.fixed_time())
     landed = batch.zero_visits == 2
     assert (batch.last_zero_step[landed] == 2).all()
     assert (batch.last_zero_step[~landed] == 0).all()
@@ -162,7 +151,7 @@ def test_exact_landing_on_the_horizon():
     assert abs(landed.mean() - 0.5) <= 4.0 * math.sqrt(0.25 / 4000)
     assert (batch.counts.sum(axis=1) == 2).all()
     # a path of one step cannot return
-    one = simulate_batch(replace(config, steps=1))
+    one = stop_batch(replace(config, steps=1), StoppingRule.fixed_time())
     assert (one.zero_visits == 1).all() and (one.last_zero_step == 0).all()
     assert (one.counts.sum(axis=1) == 1).all()
 
@@ -173,7 +162,8 @@ def test_long_walk_memory_is_bounded(monkeypatch):
     _return_tail_table()
     tracemalloc.start()
     try:
-        batch = simulate_batch(SpiderConfig(n=3, steps=2 ** 44, seed=5))
+        batch = stop_batch(SpiderConfig(n=3, steps=2 ** 44, seed=5),
+                           StoppingRule.fixed_time())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,7 +233,8 @@ def test_ray_relabelling_leaves_marginals_unchanged():
     # exchangeability probed across independent batches (coordinates of one
     # path are dependent, so each pool comes from its own run)
     config = SpiderConfig(n=3, steps=2000, paths=3000, seed=31)
-    pools = [simulate_batch(config, run_id=r).fractions[:, r] for r in range(3)]
+    pools = [stop_batch(config, StoppingRule.fixed_time(), run_id=r).fractions[:, r]
+             for r in range(3)]
     for i in range(3):
         for j in range(i + 1, 3):
             report = ks_two_sample(pools[i], pools[j], seed=31,
@@ -253,7 +244,7 @@ def test_ray_relabelling_leaves_marginals_unchanged():
 
 def test_two_ray_occupation_close_to_arcsine():
     config = SpiderConfig(n=2, steps=5000, paths=2000, seed=37)
-    batch = simulate_batch(config)
+    batch = stop_batch(config, StoppingRule.fixed_time())
     report = ks_one_sample(batch.fractions[:, 0], arcsine_cdf, seed=37,
                            threshold=0.05, rule="stat_max")
     assert report.passed, report.statistic
@@ -263,7 +254,7 @@ def test_three_ray_occupation_matches_closed_form():
     from spiderlaw import spider_cdf
 
     config = SpiderConfig(n=3, steps=20_000, paths=5000, seed=67)
-    batch = simulate_batch(config)
+    batch = stop_batch(config, StoppingRule.fixed_time())
     report = ks_one_sample(batch.fractions[:, 0], lambda z: spider_cdf(z, 3),
                            seed=67, threshold=0.02, rule="stat_max")
     assert report.passed, report.statistic
@@ -313,10 +304,27 @@ def test_exactness_bound_discards_and_raises(monkeypatch):
         verify_occupation_identity(2, paths=300, steps=1000, seed=47)
 
 
-def test_stop_rules_need_two_rays():
-    config = SpiderConfig(n=1, steps=1000, paths=10, seed=1)
-    with pytest.raises(UsageError):
-        stop_batch(config, StoppingRule.fixed_time(1.0))
+def test_one_ray_is_exact_under_every_rule():
+    # a round's length uniforms are its second block of draws, which the ray
+    # count does not touch, and neither rule here sizes its block by n: so
+    # one ray returns to the origin exactly when three rays do
+    one = SpiderConfig(n=1, steps=1500, paths=300, seed=19)
+    for rule in (StoppingRule.fixed_time(), StoppingRule.inverse_local_time(1.0)):
+        a = stop_batch(one, rule, run_id=4)
+        b = stop_batch(replace(one, n=3), rule, run_id=4)
+        for column in ("stopped_step", "zero_visits", "last_zero_step"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
+    # pinning the only ray stops every path at the threshold itself
+    rule = StoppingRule.inverse_occupation(0.5, ray=1)
+    batch = stop_batch(one, rule, run_id=4)
+    assert (batch.stopped_step == rule.threshold(one)).all()
+    assert np.array_equal(batch.counts[:, 0], batch.stopped_step)
+    # at 2 steps a round is 2 excursions, and the path is back at the origin
+    # iff its first length uniform, draw 2 of round 0, is below 1/2
+    two = replace(one, steps=2, paths=64)
+    batch = stop_batch(two, StoppingRule.fixed_time(), run_id=4)
+    back = [_round_draws(two, 4, p, 0, 2)[2] < 0.5 for p in range(two.paths)]
+    assert np.array_equal(batch.zero_visits, np.where(back, 2, 1))
 
 
 def _stepwise_reference(n, steps, rule, level, ray_j, horizon_steps, paths, seed):
@@ -480,7 +488,7 @@ def test_local_time_proxy_scales_like_a_constant():
     medians = {}
     for run, steps in enumerate((10_000, 40_000)):
         config = SpiderConfig(n=2, steps=steps, paths=3000, seed=59)
-        batch = simulate_batch(config, run_id=run)
+        batch = stop_batch(config, StoppingRule.fixed_time(), run_id=run)
         proxy = batch.zero_visits / math.sqrt(steps)
         medians[steps] = np.median(proxy)
     normal_median = 0.6744897501960817
@@ -497,7 +505,7 @@ def test_batch_csv_and_manifest(monkeypatch, tmp_path):
     config = SpiderConfig(n=3, steps=1200, paths=50, seed=61)
     csv_path = tmp_path / "walk.csv"
     manifest_path = tmp_path / "walk.run.json"
-    batch = run_walk_batch(config, None, csv_path, manifest_path)
+    batch = run_walk_batch(config, StoppingRule.fixed_time(), csv_path, manifest_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == ("path_id,frac_ray1,frac_ray2,frac_ray3,"
                         "zero_visits,last_zero_fraction,stopped_step,discarded")
@@ -506,16 +514,17 @@ def test_batch_csv_and_manifest(monkeypatch, tmp_path):
     assert int(first[0]) == 0
     assert sum(float(v) for v in first[1:4]) == pytest.approx(1.0, abs=1e-12)
     manifest = json.loads(manifest_path.read_text())
-    assert manifest["paths"] == 50 and manifest["rule"] is None
-    assert manifest["discard_count"] == 0
+    assert manifest["paths"] == 50 and manifest["discard_count"] == 0
+    assert manifest["rule"] == {"kind": "fixed_time", "level": 1.0, "ray": None}
+    assert manifest["wall_time_s"] >= 0.0
 
     # a bound lowered to the local-time horizon discards a share of paths
     monkeypatch.setattr(walk, "_EXACT_STEPS", config.steps + 1)
-    stopped = stop_batch(config, StoppingRule.inverse_local_time(1.0), run_id=6)
-    assert stopped.discard_count > 0
     stop_csv = tmp_path / "stopped.csv"
-    write_batch_csv(stop_csv, stopped)
-    write_run_manifest(tmp_path / "stopped.run.json", stopped, None)
+    stopped = run_walk_batch(config, StoppingRule.inverse_local_time(1.0), stop_csv,
+                             tmp_path / "stopped.run.json", run_id=6,
+                             record_wall_time=False)
+    assert stopped.discard_count > 0
     rows = stop_csv.read_text().splitlines()[1:]
     flagged = [r for r in rows if r.endswith(",true")]
     assert len(flagged) == stopped.discard_count
