@@ -27,7 +27,6 @@ from .gof import (
 )
 from .laws import (
     DensityCurve,
-    LawKind,
     LawSpec,
     arcsine_cdf,
     arcsine_pdf,

@@ -8,8 +8,8 @@ figure-spider  occupation-marginal density curves over a list of ray counts
 verify         run a pre-registered verification suite, emit JSON-line reports
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad arguments
-or an unusable --out).  The seed comes from --seed, else the SPIDER_SEED
-environment variable, else 0, and must lie in [0, 2**64).  With
+or an unusable --out).  sample and verify take --seed, else SPIDER_SEED, else
+0, in [0, 2**64); the figures draw nothing and take no seed.  With
 --deterministic all outputs (including manifests) are byte-identical across
 reruns.
 """
@@ -27,7 +27,7 @@ from . import __version__
 from .errors import ParameterDomainError, UsageError
 from .figures import render_curves_svg, write_curve_csv
 from .gof import summary_table, write_reports_jsonl
-from .laws import LawKind, LawSpec, build_density_curve
+from .laws import LawSpec, build_density_curve
 from .output import prepare_out, sidecar_path, write_json
 from .rng import RngStream
 from .samplers import (
@@ -52,7 +52,7 @@ class RunManifest:
 
     command: str
     parameters: dict
-    seed: int
+    seed: int | None  # None for a command that draws nothing
     started: str | None
     finished: str | None = None
     outputs: list[str] = field(default_factory=list)
@@ -171,53 +171,49 @@ def cmd_sample(args) -> int:
 # figures
 # ---------------------------------------------------------------------------
 
-def _emit_figure(args, parameters, laws, labels, title) -> int:
+# command -> (its list option, the item type, the default list, what one item
+# is, the command's help, the law of an item, the legend format, the SVG title)
+_FIGURES = {
+    "figure-ratio": ("mu", float, "0.1,0.25,0.5,0.75,0.9", "mu",
+                     "density curves over a list of mu", LawSpec.ratio_a,
+                     "mu = {:g}", "density of the two-stable occupation ratio"),
+    "figure-spider": ("n", int, "2,3,4,5,8", "ray count",
+                      "density curves over a list of ray counts", LawSpec.spider,
+                      "n = {}", "density of one spider occupation fraction"),
+}
+
+
+def cmd_figure(args) -> int:
     """One CSV + sidecar per law, the SVG overlay, then the run manifest."""
+    option, item, _, noun, _, make_law, legend, title = _FIGURES[args.command]
+    values = _parse_list(getattr(args, option), item)
+    if not values:
+        raise UsageError(f"need at least one {noun}")
+    laws = [make_law(value) for value in values]
     names = [law.label() for law in laws]
     clash = sorted({name for name in names if names.count(name) > 1})
     if clash:
         raise UsageError(f"curves would share the output {', '.join(clash)}; "
                          "give distinct values")
-    seed = _resolve_seed(args.seed)
     out = Path(args.out)
     svg_path = prepare_out(out.parent / f"{out.name}.svg")
     manifest_path = prepare_out(out.parent / f"{out.name}.manifest.json")
     csv_paths = [prepare_out(out.parent / f"{out.name}_{name}.csv") for name in names]
     for csv_path in csv_paths:
         prepare_out(sidecar_path(csv_path))
-    manifest = RunManifest.begin(args.command, {**parameters, "grid": args.grid},
-                                 seed, args.deterministic)
+    manifest = RunManifest.begin(args.command, {option: values, "grid": args.grid},
+                                 None, args.deterministic)
     curves = []
     for law, csv_path in zip(laws, csv_paths):
         curve = build_density_curve(law, interior_points=args.grid).validate()
         sidecar = write_curve_csv(curve, csv_path)
         curves.append(curve)
         manifest.outputs += [str(csv_path), sidecar]
-    render_curves_svg(curves, labels, svg_path, title=title,
-                      deterministic=args.deterministic)
+    render_curves_svg(curves, [legend.format(value) for value in values], svg_path,
+                      title=title)
     manifest.outputs.append(str(svg_path))
     manifest.finish(manifest_path, args.deterministic)
     return 0
-
-
-def cmd_figure_ratio(args) -> int:
-    mus = _parse_list(args.mu, float)
-    if not mus:
-        raise UsageError("need at least one mu")
-    return _emit_figure(args, {"mu": mus},
-                        [LawSpec(LawKind.STABLE_RATIO_A, mu=mu) for mu in mus],
-                        [f"mu = {mu:g}" for mu in mus],
-                        "density of the two-stable occupation ratio")
-
-
-def cmd_figure_spider(args) -> int:
-    rays = _parse_list(args.n, int)
-    if not rays:
-        raise UsageError("need at least one ray count")
-    return _emit_figure(args, {"n": rays},
-                        [LawSpec(LawKind.SPIDER_OCCUPATION, n=n) for n in rays],
-                        [f"n = {n}" for n in rays],
-                        "density of one spider occupation fraction")
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +224,10 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.out:
         prepare_out(args.out)
-    reports, extras = run_suite(args.suite, seed)
+    reports, points = run_suite(args.suite, seed)
     if args.out:
         write_reports_jsonl(reports, args.out)
     print(summary_table(reports))
-    points = extras.get("points")
     if points:
         print("convergence distances: "
               + ", ".join(f"n={p.n}: {p.distance:.6f}" for p in points))
@@ -266,21 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("figure-ratio", help="density curves over a list of mu")
-    p.add_argument("--mu", default="0.1,0.25,0.5,0.75,0.9")
-    p.add_argument("--grid", type=int, default=999)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--deterministic", action="store_true")
-    p.set_defaults(func=cmd_figure_ratio)
-
-    p = sub.add_parser("figure-spider", help="density curves over a list of ray counts")
-    p.add_argument("--n", default="2,3,4,5,8")
-    p.add_argument("--grid", type=int, default=999)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--deterministic", action="store_true")
-    p.set_defaults(func=cmd_figure_spider)
+    for command, (option, _, default, _, help_text, *_) in _FIGURES.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument(f"--{option}", default=default)
+        p.add_argument("--grid", type=int, default=999)
+        p.add_argument("--out", required=True)
+        p.add_argument("--deterministic", action="store_true")
+        p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)

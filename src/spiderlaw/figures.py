@@ -7,8 +7,6 @@ are clamped at the plot ceiling (the laws here diverge at the endpoints).
 """
 from __future__ import annotations
 
-from datetime import datetime, timezone
-
 import numpy as np
 
 from .laws import DensityCurve
@@ -42,16 +40,14 @@ def _y_pixel(v):
     return _HEIGHT - _MARGIN_B - min(v, _Y_MAX) / _Y_MAX * usable
 
 
-def render_curves_svg(curves, labels, svg_path, *, title, deterministic=False):
-    """Overlay density curves in one SVG file, one path element per curve."""
+def render_curves_svg(curves, labels, svg_path, *, title):
+    """Overlay density curves in one SVG file, one path element per curve.
+    The file is a function of its arguments alone."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_WIDTH} {_HEIGHT}" '
         f'width="{_WIDTH}" height="{_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if not deterministic:
-        stamp = datetime.now(timezone.utc).isoformat()
-        parts.append(f"<!-- generated {stamp} -->")
-    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     parts.append(
         f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>'

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -173,14 +172,6 @@ def _integrate_log_ratio(f, mu, lo, hi, cuts=()):
     return math.fsum(pieces)
 
 
-def _lamperti_mean(f, mu, p):
-    """E[A] for A = expit((log(p/q) - L) / mu) with L of density f, cut at
-    the step of the expit."""
-    shift = math.log(p / (1.0 - p))
-    return _integrate_log_ratio(lambda x: _expit((shift - x) / mu) * f(x), mu,
-                                -math.inf, math.inf, (shift,))
-
-
 # ---------------------------------------------------------------------------
 # arc-sine law
 # ---------------------------------------------------------------------------
@@ -316,75 +307,62 @@ def fractional_moment(s, mu):
 # law descriptors and curves
 # ---------------------------------------------------------------------------
 
-class LawKind(str, Enum):
-    ARC_SINE = "arcsine"
-    STABLE_RATIO_A = "ratio_a"
-    SPIDER_OCCUPATION = "spider_occupation"
-
-
-_NEEDS_MU = {LawKind.STABLE_RATIO_A}
-_NEEDS_N = {LawKind.SPIDER_OCCUPATION}
-
-
 @dataclass(frozen=True)
 class LawSpec:
-    """A law identifier plus exactly the parameters its kind requires."""
+    """A validated point (mu, p) of Lamperti's family, with the name and the
+    parameters its outputs show: :meth:`arcsine`, :meth:`ratio_a` and
+    :meth:`spider` build the paper's laws, ``LawSpec(name, mu, p)`` any other."""
 
-    kind: LawKind
-    mu: float | None = None
-    n: int | None = None
+    kind: str
+    mu: float = 0.5
+    p: float = 0.5
+    shown: tuple = ()  # (name, value) pairs of the label and the sidecar
 
     def __post_init__(self):
-        kind = LawKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind in _NEEDS_MU:
-            if self.mu is None:
-                raise ParameterDomainError(f"{kind.value} requires mu")
-            object.__setattr__(self, "mu", _validate_mu(self.mu))
-        elif self.mu is not None:
-            raise ParameterDomainError(f"{kind.value} takes no mu parameter")
-        if kind in _NEEDS_N:
-            if self.n is None:
-                raise ParameterDomainError(f"{kind.value} requires a ray count")
-            object.__setattr__(self, "n", _validate_rays(self.n))
-        elif self.n is not None:
-            raise ParameterDomainError(f"{kind.value} takes no ray count")
+        object.__setattr__(self, "mu", _validate_mu(self.mu))
+        object.__setattr__(self, "p", _validate_p(self.p))
 
-    def _lamperti(self):
-        """(mu, p) of the law as a point of Lamperti's family."""
-        mu = 0.5 if self.mu is None else self.mu
-        return mu, 0.5 if self.n is None else 1.0 / self.n
+    @classmethod
+    def arcsine(cls) -> LawSpec:
+        return _ArcSine("arcsine")
+
+    @classmethod
+    def ratio_a(cls, mu) -> LawSpec:
+        """A = S'/(S'+S), the point (mu, 1/2)."""
+        return cls("ratio_a", mu, 0.5, (("mu", float(mu)),))
+
+    @classmethod
+    def spider(cls, n) -> LawSpec:
+        """One occupation fraction of an n-ray spider, the point (1/2, 1/n)."""
+        n = _validate_rays(n)
+        return cls("spider_occupation", 0.5, 1.0 / n, (("n", n),))
 
     def _log_ratio_pdf(self, x):
-        """The density of L at a float x; the arc-sine law keeps its own."""
-        if self.kind is LawKind.ARC_SINE:
-            return _arcsine_log_ratio_pdf(x)
-        return _g_mu(x, self._lamperti()[0])
+        """The density of L at a float x."""
+        return _g_mu(x, self.mu)
 
     def pdf(self, x):
-        if self.kind is LawKind.ARC_SINE:
-            return arcsine_pdf(x)
-        return lamperti_pdf(x, *self._lamperti())
+        return lamperti_pdf(x, self.mu, self.p)
 
     def cdf(self, x):
-        if self.kind is LawKind.ARC_SINE:
-            return arcsine_cdf(x)
-        return lamperti_cdf(x, *self._lamperti())
+        return lamperti_cdf(x, self.mu, self.p)
 
     def label(self) -> str:
-        if self.kind in _NEEDS_MU:
-            return f"{self.kind.value}_mu{self.mu:g}"
-        if self.kind in _NEEDS_N:
-            return f"{self.kind.value}_n{self.n}"
-        return self.kind.value
+        """e.g. ``ratio_a_mu0.3``: a float in six significant digits."""
+        return self.kind + "".join(f"_{name}{value:g}" if isinstance(value, float)
+                                   else f"_{name}{value}" for name, value in self.shown)
 
     def as_dict(self) -> dict:
-        out = {"kind": self.kind.value}
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.n is not None:
-            out["n"] = self.n
-        return out
+        return {"kind": self.kind, **dict(self.shown)}
+
+
+class _ArcSine(LawSpec):
+    """The point (1/2, 1/2) through the arc-sine law's own formulas, an
+    independent check of the family's."""
+
+    _log_ratio_pdf = staticmethod(_arcsine_log_ratio_pdf)
+    pdf = staticmethod(arcsine_pdf)
+    cdf = staticmethod(arcsine_cdf)
 
 
 def integrate_density(law: LawSpec, a: float, b: float) -> float:
@@ -392,14 +370,16 @@ def integrate_density(law: LawSpec, a: float, b: float) -> float:
     the matching interval of L."""
     if not (0.0 <= a <= b <= 1.0):
         raise ParameterDomainError(f"[{a}, {b}] outside support [0, 1]")
-    mu, p = law._lamperti()
-    ends = [float(_log_ratio_at(x, mu, p)) for x in (b, a)]
-    return _integrate_log_ratio(law._log_ratio_pdf, mu, *ends)
+    ends = [float(_log_ratio_at(x, law.mu, law.p)) for x in (b, a)]
+    return _integrate_log_ratio(law._log_ratio_pdf, law.mu, *ends)
 
 
 def density_mean(law: LawSpec) -> float:
-    """First moment of the law."""
-    return _lamperti_mean(law._log_ratio_pdf, *law._lamperti())
+    """First moment of the law: E[A] for A = expit((log(p/q) - L) / mu),
+    cut at the step of the expit."""
+    mu, f, shift = law.mu, law._log_ratio_pdf, math.log(law.p / (1.0 - law.p))
+    return _integrate_log_ratio(lambda x: _expit((shift - x) / mu) * f(x), mu,
+                                -math.inf, math.inf, (shift,))
 
 
 _FD_WINDOW = (0.05, 0.95)  # the z range where validate compares cdf and pdf

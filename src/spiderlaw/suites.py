@@ -36,7 +36,6 @@ from .gof import (
     verify_occupation_identity,
 )
 from .laws import (
-    LawKind,
     LawSpec,
     arcsine_pdf,
     density_mean,
@@ -196,24 +195,24 @@ def density_suite():
     gap = np.abs(spider_pdf(grid, 2) - arcsine_pdf(grid)).max()
     reports.append(_deterministic_report("reduction[spider(n=2)=arcsine]", gap, 1e-12))
 
-    arc = LawSpec(LawKind.ARC_SINE)
+    arc = LawSpec.arcsine()
     reports.append(_deterministic_report(
         "normalization[arcsine]", abs(integrate_density(arc, 0.0, 1.0) - 1.0), 1e-8))
     for mu in NORMALIZATION_MUS:
-        law = LawSpec(LawKind.STABLE_RATIO_A, mu=mu)
+        law = LawSpec.ratio_a(mu)
         gap = abs(integrate_density(law, 0.0, 1.0) - 1.0)
         reports.append(_deterministic_report(f"normalization[ratio_a,mu={mu}]", gap, 1e-8))
     for n in SPIDER_RAYS:
-        law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+        law = LawSpec.spider(n)
         gap = abs(integrate_density(law, 0.0, _CDF_Z) - spider_cdf(_CDF_Z, n))
         reports.append(_deterministic_report(f"cdf[spider,n={n},z={_CDF_Z}]", gap, 1e-8))
 
     for n in SPIDER_RAYS:
-        law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+        law = LawSpec.spider(n)
         gap = abs(density_mean(law) - 1.0 / n)
         reports.append(_deterministic_report(f"mean[spider,n={n}]=1/n", gap, 1e-8))
     for mu in MEAN_MUS:
-        law = LawSpec(LawKind.STABLE_RATIO_A, mu=mu)
+        law = LawSpec.ratio_a(mu)
         gap = abs(density_mean(law) - 0.5)
         reports.append(_deterministic_report(f"mean[ratio_a,mu={mu}]=1/2", gap, 1e-8))
     return reports
@@ -253,20 +252,20 @@ SUITE_NAMES = ("transforms", "densities", "occupation", "convergence", "all")
 
 
 def run_suite(name, seed):
-    """Run one named suite; returns (reports, extras) for the CLI."""
+    """Run one named suite; returns its reports and the convergence points,
+    which are empty unless the suite is ``convergence`` or ``all``."""
     if name == "transforms":
-        return transform_suite(seed), {}
+        return transform_suite(seed), []
     if name == "densities":
-        return density_suite(), {}
+        return density_suite(), []
     if name == "occupation":
-        return occupation_suite(seed), {}
+        return occupation_suite(seed), []
     if name == "convergence":
-        reports, points = convergence_suite()
-        return reports, {"points": points}
+        return convergence_suite()
     if name == "all":
         reports = density_suite()
         conv, points = convergence_suite()
         reports += conv
         reports += _reports(transform_tasks(seed) + occupation_tasks(seed))
-        return reports, {"points": points}
+        return reports, points
     raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

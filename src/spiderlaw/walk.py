@@ -161,8 +161,9 @@ class StoppingRule:
 
 @dataclass
 class StopBatch:
-    """Column arrays for a batch of paths stopped by ``rule``; discarded rows
-    are flagged.
+    """Column arrays for a batch of stopped paths; discarded rows are flagged.
+    The rule and run id stay with the caller, which ``run_walk_batch``
+    writes into its run manifest.
 
     A path is discarded when its step total reaches 2**53, past which float64
     totals are no longer exact integers: at 20,000 steps, about one stopped
@@ -170,8 +171,6 @@ class StopBatch:
     """
 
     config: SpiderConfig
-    rule: StoppingRule
-    run_id: int
     counts: np.ndarray
     stopped_step: np.ndarray
     zero_visits: np.ndarray
@@ -427,8 +426,7 @@ def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = 0) -> Sto
     A plain walk of ``config.steps`` steps is ``StoppingRule.fixed_time()``.
     """
     rule.validate_for(config)
-    return StopBatch(config=config, rule=rule, run_id=run_id,
-                     **_resolve_batch(config, rule, run_id))
+    return StopBatch(config=config, **_resolve_batch(config, rule, run_id))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 
 from spiderlaw import (
-    LawKind,
     LawSpec,
     RngStream,
     SpiderConfig,
@@ -53,12 +52,12 @@ def test_criterion_01_reduction_identities():
 
 def test_criterion_02_normalization():
     t0 = time.monotonic()
-    gaps = [abs(integrate_density(LawSpec(LawKind.ARC_SINE), 0.0, 1.0) - 1.0)]
+    gaps = [abs(integrate_density(LawSpec.arcsine(), 0.0, 1.0) - 1.0)]
     for mu in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        law = LawSpec(LawKind.STABLE_RATIO_A, mu=mu)
+        law = LawSpec.ratio_a(mu)
         gaps.append(abs(integrate_density(law, 0.0, 1.0) - 1.0))
     for n in range(2, 11):
-        law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+        law = LawSpec.spider(n)
         gaps.append(abs(integrate_density(law, 0.0, 1.0) - 1.0))
     elapsed = time.monotonic() - t0
     worst = max(gaps)
@@ -70,10 +69,10 @@ def test_criterion_02_normalization():
 def test_criterion_03_mean_identities():
     gaps = []
     for n in range(2, 11):
-        law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+        law = LawSpec.spider(n)
         gaps.append(abs(density_mean(law) - 1.0 / n))
     for mu in (0.25, 0.5, 0.75):
-        law = LawSpec(LawKind.STABLE_RATIO_A, mu=mu)
+        law = LawSpec.ratio_a(mu)
         gaps.append(abs(density_mean(law) - 0.5))
     worst = max(gaps)
     _conclude(3, "mean identities", worst <= 1e-8, f"worst gap {worst:.2e}")
@@ -198,12 +197,12 @@ def test_criterion_10_figure_reproduction(tmp_path):
     reduction_gap = np.abs(rows[:, 1] - arcsine_pdf(rows[:, 0])).max()
     assert reduction_gap <= 1e-12
     for mu in (0.1, 0.25, 0.5, 0.75, 0.9):
-        law = LawSpec(LawKind.STABLE_RATIO_A, mu=mu)
+        law = LawSpec.ratio_a(mu)
         assert abs(integrate_density(law, 0.0, 1.0) - 1.0) <= 1e-8
         assert abs(density_mean(law) - 0.5) <= 1e-8
     cdf_at_tenth = []
     for n in (2, 3, 4, 5, 8):
-        law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+        law = LawSpec.spider(n)
         assert abs(integrate_density(law, 0.0, 1.0) - 1.0) <= 1e-8
         assert abs(density_mean(law) - 1.0 / n) <= 1e-8
         cdf_at_tenth.append(float(spider_cdf(0.1, n)))

@@ -269,11 +269,10 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
 
 
 def test_seed_outside_64_bits_is_refused_before_any_output(tmp_path, capsys):
-    # figure-* draws nothing, so only the CLI itself can refuse a seed that no
-    # stream could be keyed on
+    # every stream is keyed on the seed as a 64-bit word
     for seed in (-5, 2 ** 64):
-        out = tmp_path / str(seed) / "fig"
-        assert main(["figure-spider", "--n", "3", "--seed", str(seed),
+        out = tmp_path / str(seed) / "x"
+        assert main(["sample", "--law", "arcsine", "--count", "5", "--seed", str(seed),
                      "--out", str(out)]) == 2
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not out.parent.exists()
@@ -312,6 +311,24 @@ def test_figure_ratio_outputs(tmp_path):
         _, rows = _read_csv(tmp_path / f"fig1_ratio_a_mu{mu}.csv")
         pdf = rows[1:-1, 1]
         assert np.allclose(pdf, pdf[::-1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["figure-ratio", "figure-spider"])
+def test_figures_take_no_seed(tmp_path, command):
+    # a figure draws nothing, so its manifest records no seed and it takes none
+    out = tmp_path / "f" / "fig"
+    assert main([command, "--seed", "1", "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    assert main([command, "--out", str(out), "--deterministic"]) == 0
+    assert json.loads((tmp_path / "f" / "fig.manifest.json").read_text())["seed"] is None
+
+
+def test_figure_svg_has_no_clock(tmp_path):
+    # the manifest's started/finished are a figure run's only clock
+    assert main(["figure-spider", "--n", "3", "--out", str(tmp_path / "a")]) == 0
+    assert main(["figure-spider", "--n", "3", "--out", str(tmp_path / "b"),
+                 "--deterministic"]) == 0
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 
 def test_figure_ratio_rerun_is_byte_identical(tmp_path):
@@ -416,7 +433,7 @@ def test_verify_unknown_suite():
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = GofReport("forced", 1.0, None, 0, 0, 0, 0.5, "stat_max")
-    monkeypatch.setattr("spiderlaw.cli.run_suite", lambda name, seed: ([failing], {}))
+    monkeypatch.setattr("spiderlaw.cli.run_suite", lambda name, seed: ([failing], []))
     assert main(["verify", "--suite", "densities"]) == 1
     err = capsys.readouterr().err
     assert "forced" in err

@@ -3,12 +3,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from spiderlaw import LawKind, LawSpec, build_density_curve
+from spiderlaw import LawSpec, build_density_curve
 from spiderlaw.figures import render_curves_svg, write_curve_csv
 
 
 def test_curve_csv_roundtrip(tmp_path):
-    law = LawSpec(LawKind.SPIDER_OCCUPATION, n=4)
+    law = LawSpec.spider(4)
     curve = build_density_curve(law)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
@@ -23,10 +23,10 @@ def test_curve_csv_roundtrip(tmp_path):
 
 
 def test_svg_structure(tmp_path):
-    laws = [LawSpec(LawKind.STABLE_RATIO_A, mu=mu) for mu in (0.25, 0.5, 0.75)]
+    laws = [LawSpec.ratio_a(mu) for mu in (0.25, 0.5, 0.75)]
     curves = [build_density_curve(law) for law in laws]
     path = tmp_path / "plot.svg"
-    render_curves_svg(curves, ["a", "b", "c"], path, title="demo", deterministic=True)
+    render_curves_svg(curves, ["a", "b", "c"], path, title="demo")
     tree = ET.parse(path)  # well-formed XML
     root = tree.getroot()
     assert root.tag.endswith("svg")
@@ -37,8 +37,8 @@ def test_svg_structure(tmp_path):
 
 
 def test_svg_deterministic_rendering(tmp_path):
-    curve = build_density_curve(LawSpec(LawKind.ARC_SINE))
+    curve = build_density_curve(LawSpec.arcsine())
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_curves_svg([curve], ["arc"], p1, title="t", deterministic=True)
-    render_curves_svg([curve], ["arc"], p2, title="t", deterministic=True)
+    render_curves_svg([curve], ["arc"], p1, title="t")
+    render_curves_svg([curve], ["arc"], p2, title="t")
     assert p1.read_bytes() == p2.read_bytes()

@@ -13,7 +13,9 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from spiderlaw import (
+    LawSpec,
     RngStream,
+    density_mean,
     ks_one_sample,
     ks_two_sample,
     lamperti_cdf,
@@ -23,7 +25,7 @@ from spiderlaw import (
     spider_cdf,
     spider_pdf,
 )
-from spiderlaw.laws import _g_mu, _integrate_log_ratio, _lamperti_mean, _log_ratio_at
+from spiderlaw.laws import _g_mu, _integrate_log_ratio, _log_ratio_at
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -81,7 +83,7 @@ def test_quadrature_normalises_the_pdf(mu, p, z):
     g = lambda x: _g_mu(x, mu)
     total = _integrate_log_ratio(g, mu, -math.inf, math.inf)
     below = _integrate_log_ratio(g, mu, _log_ratio_at(z, mu, p), math.inf)
-    mean = _lamperti_mean(g, mu, p)
+    mean = density_mean(LawSpec("lamperti", mu, p))
     note(f"integral {total!r}, mass below z {below!r}, mean {mean!r}")
     assert abs(total - 1.0) <= 1e-8
     assert abs(below - lamperti_cdf(z, mu, p)) <= 1e-8
@@ -98,7 +100,7 @@ def test_quadrature_resolves_narrow_features(mu, log_odds):
     p = 1.0 / (1.0 + math.exp(-log_odds))
     g = lambda x: _g_mu(x, mu)
     assert abs(_integrate_log_ratio(g, mu, -math.inf, math.inf) - 1.0) <= 1e-8
-    assert abs(_lamperti_mean(g, mu, p) - p) <= 1e-8
+    assert abs(density_mean(LawSpec("lamperti", mu, p)) - p) <= 1e-8
 
 
 @settings(PROPERTY, max_examples=12)

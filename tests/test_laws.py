@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate as sp_integrate
 
 from spiderlaw import (
-    LawKind,
     LawSpec,
     ParameterDomainError,
     arcsine_cdf,
@@ -129,7 +128,7 @@ def test_density_at_the_mode_keeps_its_precision_as_mu_nears_one(mu):
 
 
 def test_ratio_A_normalises():
-    law = LawSpec(LawKind.STABLE_RATIO_A, mu=0.25)
+    law = LawSpec.ratio_a(0.25)
     assert integrate_density(law, 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -182,7 +181,7 @@ def test_spider_pdf_not_symmetric_beyond_two_rays():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_spider_mean_is_one_over_n(n):
-    law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+    law = LawSpec.spider(n)
     assert density_mean(law) == pytest.approx(1.0 / n, abs=1e-8)
 
 
@@ -191,7 +190,7 @@ def test_spider_cdf_reduces_and_matches_quadrature():
     gap = np.abs(spider_cdf(GRID, 2) - arcsine_cdf(GRID))
     assert gap.max() <= 1e-10
     for n in (3, 5):
-        law = LawSpec(LawKind.SPIDER_OCCUPATION, n=n)
+        law = LawSpec.spider(n)
         for z in np.linspace(0.02, 0.98, 50):
             by_quad = integrate_density(law, 0.0, float(z))
             assert spider_cdf(z, n) == pytest.approx(by_quad, abs=1e-8)
@@ -276,30 +275,38 @@ def test_transforms_match_quadrature_of_ratio_power(mu):
 # ---------------------------------------------------------------------------
 
 def test_lawspec_parameter_discipline():
-    with pytest.raises(ParameterDomainError):
-        LawSpec(LawKind.ARC_SINE, mu=0.5)
-    with pytest.raises(ParameterDomainError):
-        LawSpec(LawKind.STABLE_RATIO_A)
-    with pytest.raises(ParameterDomainError):
-        LawSpec(LawKind.SPIDER_OCCUPATION, n=1)
-    with pytest.raises(ParameterDomainError):
-        LawSpec(LawKind.SPIDER_OCCUPATION, n=3, mu=0.5)
+    # every spec is a validated (mu, p) point; a law outside its domain is refused
+    for make in (lambda: LawSpec.spider(1), lambda: LawSpec.spider(2.5),
+                 lambda: LawSpec.ratio_a(1.5), lambda: LawSpec("ratio_a", mu=2.0)):
+        with pytest.raises(ParameterDomainError):
+            make()
+    # the names and parameters the outputs show
+    arc, ratio, spider = LawSpec.arcsine(), LawSpec.ratio_a(0.3), LawSpec.spider(5)
+    assert (arc.mu, arc.p, ratio.mu, ratio.p, spider.mu, spider.p) == (
+        0.5, 0.5, 0.3, 0.5, 0.5, 0.2)
+    assert [law.label() for law in (arc, ratio, spider)] == [
+        "arcsine", "ratio_a_mu0.3", "spider_occupation_n5"]
+    assert [law.as_dict() for law in (arc, ratio, spider)] == [
+        {"kind": "arcsine"}, {"kind": "ratio_a", "mu": 0.3},
+        {"kind": "spider_occupation", "n": 5}]
+    assert LawSpec.ratio_a(0.1234567).label() == "ratio_a_mu0.123457"
+    assert LawSpec.spider(1234567).label() == "spider_occupation_n1234567"
 
 
 def test_integrate_density_examples():
-    arc = LawSpec(LawKind.ARC_SINE)
+    arc = LawSpec.arcsine()
     assert integrate_density(arc, 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
     assert integrate_density(arc, 0.0, 0.25) == pytest.approx(1.0 / 3.0, abs=1e-8)
-    spider3 = LawSpec(LawKind.SPIDER_OCCUPATION, n=3)
+    spider3 = LawSpec.spider(3)
     assert integrate_density(spider3, 0.0, 1.0) == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(ParameterDomainError):
         integrate_density(arc, -0.5, 0.5)
 
 
 def test_density_curve_roundtrip_invariants():
-    for law in (LawSpec(LawKind.ARC_SINE),
-                LawSpec(LawKind.STABLE_RATIO_A, mu=0.3),
-                LawSpec(LawKind.SPIDER_OCCUPATION, n=5)):
+    for law in (LawSpec.arcsine(),
+                LawSpec.ratio_a(0.3),
+                LawSpec.spider(5)):
         curve = build_density_curve(law).validate()
         assert curve.grid[0] == 0.0 and curve.grid[-1] == 1.0
         assert len(curve.grid) == 1001
@@ -309,7 +316,7 @@ def test_density_curve_roundtrip_invariants():
 
 
 def test_density_curve_validation_catches_corruption():
-    curve = build_density_curve(LawSpec(LawKind.ARC_SINE))
+    curve = build_density_curve(LawSpec.arcsine())
     curve.pdf_values = curve.pdf_values.copy()
     curve.pdf_values[500] *= 2.0
     with pytest.raises(ValueError):

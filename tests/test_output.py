@@ -10,11 +10,9 @@ import io
 import numpy as np
 
 from spiderlaw import (
-    LawKind,
     LawSpec,
     SpiderConfig,
     StopBatch,
-    StoppingRule,
     output,
     save_sample_batch,
 )
@@ -65,7 +63,7 @@ def test_sample_batch_format(tmp_path):
 
 
 def test_curve_csv_format(tmp_path):
-    curve = DensityCurve(LawSpec(LawKind.ARC_SINE), np.array(FLOATS),
+    curve = DensityCurve(LawSpec.arcsine(), np.array(FLOATS),
                          np.array(FLOATS[::-1]), np.array(FLOATS))
     path = tmp_path / "c.csv"
     write_curve_csv(curve, path)
@@ -81,8 +79,7 @@ def test_batch_csv_format(tmp_path):
     counts = np.array([FLOATS[0:2], FLOATS[2:4], [7.0, 9.0], FLOATS[4:6]])
     batch = StopBatch(
         config=SpiderConfig(n=2, steps=10, paths=4),
-        rule=StoppingRule.fixed_time(), run_id=0, counts=counts,
-        stopped_step=np.array([1, 1, 0, 1]),
+        counts=counts, stopped_step=np.array([1, 1, 0, 1]),
         zero_visits=np.array([1, 2, 0, 10**15]),
         last_zero_step=np.array([0, 1, 0, 1]),
         discarded=np.array([False, False, True, False]),

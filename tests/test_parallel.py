@@ -19,7 +19,6 @@ import pytest
 
 from spiderlaw import (
     BatchMeta,
-    LawKind,
     LawSpec,
     RngStream,
     SpiderConfig,
@@ -199,7 +198,7 @@ def _drawn_table(path, count=ROWS, law="occupation", seed=2):
 
 def _curve_table(path):
     z = np.linspace(0.0, 1.0, ROWS) / 3.0
-    write_curve_csv(DensityCurve(LawSpec(LawKind.ARC_SINE), z, z * z, np.sqrt(z)), path)
+    write_curve_csv(DensityCurve(LawSpec.arcsine(), z, z * z, np.sqrt(z)), path)
 
 
 def _walk_table(path):
@@ -209,7 +208,7 @@ def _walk_table(path):
     counts = rng.random((ROWS, 2)) * stopped[:, None]
     write_batch_csv(path, StopBatch(
         config=SpiderConfig(n=2, steps=10, paths=ROWS),
-        rule=StoppingRule.fixed_time(), run_id=0, counts=counts, stopped_step=stopped,
+        counts=counts, stopped_step=stopped,
         zero_visits=rng.integers(1, 1000, ROWS), last_zero_step=stopped // 2,
         discarded=discarded))
 

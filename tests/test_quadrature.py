@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy import integrate as sp_integrate
 
-from spiderlaw import LawKind, LawSpec, ParameterDomainError, density_mean, integrate_density
+from spiderlaw import LawSpec, ParameterDomainError, density_mean, integrate_density
 from spiderlaw.quadrature import QuadratureError, adaptive_quadrature, integrate_half_line
 
 
@@ -47,6 +47,6 @@ def test_non_finite_integral_raises():
         adaptive_quadrature(lambda x: 1.0 / x if x > 0.0 else 0.0, 0.0, 1e-310)
     # the mu = 0.02 law's density overflows at subnormal z, but in L it is
     # bounded and its integral and mean are finite
-    law = LawSpec(LawKind.STABLE_RATIO_A, mu=0.02)
+    law = LawSpec.ratio_a(0.02)
     assert abs(integrate_density(law, 0.0, 1.0) - 1.0) <= 1e-8
     assert abs(density_mean(law) - 0.5) <= 1e-8

@@ -1,11 +1,15 @@
 """The runtime needs numpy alone: the test-only packages stay out of a run,
 and a bare import starts no process machinery.  The README's library example
-runs, and the benchmark's tracer still finds every call site it rebinds."""
+and command lines run, and the benchmark's tracer still finds every call
+site it rebinds."""
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from spiderlaw.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -58,6 +62,18 @@ def test_the_readme_library_example_runs():
     env = {**os.environ, "PYTHONPATH": SRC}
     subprocess.run([sys.executable, "-c", example], env=env, check=True,
                    capture_output=True, text=True)
+
+
+def test_the_readme_command_lines_run(monkeypatch, tmp_path, capsys):
+    # an option removed from the command line but kept in the README fails here
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) >= 5 and all(argv[0] == "spiderlaw" for argv in lines)
+    for argv in lines:
+        assert main(argv[1:]) == 0, shlex.join(argv)
 
 
 def test_the_benchmark_tracer_records_its_spans():
