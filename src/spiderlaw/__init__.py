@@ -37,23 +37,16 @@ from .laws import (
     lamperti_cdf,
     lamperti_pdf,
     mellin_transform,
-    ratio_A_cdf,
-    ratio_A_pdf,
     ratio_power_cdf,
     ratio_power_pdf,
-    spider_cdf,
-    spider_pdf,
     stieltjes_transform,
 )
 from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
-    sample_arcsine,
-    sample_cauchy_spider_marginal,
     sample_occupation_exact,
     sample_lamperti,
     sample_positive_stable,
-    sample_ratio_A,
     sample_ratio_X,
     sample_stable_half,
     save_sample_batch,

@@ -33,11 +33,8 @@ from .rng import RngStream
 from .samplers import (
     BatchMeta,
     ChunkedSample,
-    sample_arcsine,
-    sample_cauchy_spider_marginal,
     sample_occupation_exact,
     sample_positive_stable,
-    sample_ratio_A,
     sample_ratio_power,
     sample_stable_half,
     save_sample_batch,
@@ -97,21 +94,23 @@ def _parse_list(text, kind) -> list:
 # ---------------------------------------------------------------------------
 
 # law -> (the options it takes besides --count, its draw given those options);
-# the walk writes its own outputs.  The draws look their samplers up when
-# called, so a caller may rebind the module's names.
+# the walk writes its own outputs.  A law on [0, 1] draws through the
+# ``LawSpec`` its options build.  The other draws look their samplers up in
+# this module when called, as ``cmd_sample`` does ``save_sample_batch``, so a
+# caller may rebind those names here.
 _LAWS = {
-    "arcsine": ((), lambda rng, count, meta: sample_arcsine(rng, count, meta=meta)),
+    "arcsine": ((), lambda rng, count, meta: LawSpec.arcsine().sample(rng, count, meta)),
     "stable": (("mu",), lambda rng, count, meta, mu:
                sample_positive_stable(mu, rng, count, meta=meta)),
     "stable-half": ((), lambda rng, count, meta: sample_stable_half(rng, count, meta=meta)),
     "ratio-power": (("mu",), lambda rng, count, meta, mu:
                     sample_ratio_power(mu, rng, count, meta=meta)),
     "ratio-a": (("mu",), lambda rng, count, meta, mu:
-                sample_ratio_A(mu, rng, count, meta=meta)),
+                LawSpec.ratio_a(mu).sample(rng, count, meta)),
     "occupation": (("n",), lambda rng, count, meta, n:
                    sample_occupation_exact(n, rng, count, meta=meta)),
     "spider-marginal": (("n",), lambda rng, count, meta, n:
-                        sample_cauchy_spider_marginal(n, rng, count, meta=meta)),
+                        LawSpec.spider(n).sample(rng, count, meta)),
     "spider-walk": (("n", "steps"), None),
 }
 _LAW_OPTIONS = ("mu", "n", "steps")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import output
 from .errors import NonFiniteSamplesError, UsageError
-from .laws import ratio_power_cdf, spider_cdf
+from .laws import LawSpec, ratio_power_cdf
 from .rng import RngStream, composite_stream_id
 from .samplers import sample_occupation_exact
 from .walk import (
@@ -270,7 +270,7 @@ def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
                 )
     reports.append(
         ks_one_sample(
-            vectors["fixed_time"][:, 0], lambda z: spider_cdf(z, n),
+            vectors["fixed_time"][:, 0], LawSpec.spider(n).cdf,
             name=f"occupation_identity[n={n},coord1]:fixed_time~closed_form",
             seed=seed, threshold=threshold, rule="stat_max",
         )
@@ -298,7 +298,7 @@ def cauchy_square_convergence(n_values, grid_size=1000):
         grid = np.sort(np.append(base, float(n * n)))
         # P(n^2 A1 <= x) on (0, n^2], and P(C^2 <= x) = P(|C| <= sqrt(x)), the
         # ratio-power law at mu = 1/2
-        scaled = spider_cdf(np.minimum(grid / (n * n), 1.0), n)
+        scaled = LawSpec.spider(n).cdf(np.minimum(grid / (n * n), 1.0))
         gap = np.abs(scaled - ratio_power_cdf(np.sqrt(grid), 0.5))
         points.append(ConvergencePoint(n=n, distance=float(gap.max())))
     return points

@@ -9,8 +9,8 @@ Three families of laws are covered:
   process spends positive: A = p^(1/mu) S' / (p^(1/mu) S' + q^(1/mu) S) with
   q = 1 - p.  Its named points are the arc-sine law (1/2, 1/2), the ratio
   A = S'/(S'+S) at (mu, 1/2) and one occupation fraction of an n-ray spider
-  at (1/2, 1/n); :func:`ratio_A_pdf` and :func:`spider_pdf` (and their CDFs)
-  are these parameter maps.
+  at (1/2, 1/n).  A :class:`LawSpec` is one such point, and the one handle
+  on its pdf, cdf and sampler.
 
 All of them are images of one law: L = mu log(S/S') = log(X**mu), which the
 samplers draw, is symmetric and smooth with density
@@ -214,7 +214,7 @@ def ratio_power_cdf(y, mu):
 
 
 # ---------------------------------------------------------------------------
-# Lamperti's law on [0, 1] and its named points
+# Lamperti's law on [0, 1]
 # ---------------------------------------------------------------------------
 
 def lamperti_pdf(z, mu, p):
@@ -238,28 +238,6 @@ def lamperti_cdf(z, mu, p):
     minus_u = -np.abs(x)
     tail = _log_ratio_tail(-np.expm1(minus_u), np.exp(minus_u), mu)
     return _scalar_like(z, np.subtract(1.0, tail, out=tail, where=x < 0.0))
-
-
-def ratio_A_pdf(z, mu):
-    """Density of A = S'/(S'+S): Lamperti's law at p = 1/2, symmetric about
-    1/2 bit for bit (the odds are exactly 1.0), arc-sine at mu = 1/2."""
-    return lamperti_pdf(z, mu, 0.5)
-
-
-def ratio_A_cdf(z, mu):
-    """P(A <= z): Lamperti's CDF at p = 1/2."""
-    return lamperti_cdf(z, mu, 0.5)
-
-
-def spider_pdf(z, n):
-    """One spider occupation fraction: Lamperti's law at (1/2, 1/n), i.e.
-    (1/pi) / (sqrt(z(1-z)) [ (n-1) z + (1-z)/(n-1) ])."""
-    return lamperti_pdf(z, 0.5, 1.0 / _validate_rays(n))
-
-
-def spider_cdf(z, n):
-    """1 - (2/pi) arctan(sqrt((1-z)/z)/(n-1)), as Lamperti's CDF at (1/2, 1/n)."""
-    return lamperti_cdf(z, 0.5, 1.0 / _validate_rays(n))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +289,8 @@ def fractional_moment(s, mu):
 class LawSpec:
     """A validated point (mu, p) of Lamperti's family, with the name and the
     parameters its outputs show: :meth:`arcsine`, :meth:`ratio_a` and
-    :meth:`spider` build the paper's laws, ``LawSpec(name, mu, p)`` any other."""
+    :meth:`spider` build the paper's laws, ``LawSpec(name, mu, p)`` any other.
+    Its :meth:`pdf`, :meth:`cdf` and :meth:`sample` are the law's one handle."""
 
     kind: str
     mu: float = 0.5
@@ -347,6 +326,11 @@ class LawSpec:
     def cdf(self, x):
         return lamperti_cdf(x, self.mu, self.p)
 
+    def sample(self, rng, size, meta=None):
+        """``size`` draws through the stable kernel in log space."""
+        from .samplers import sample_lamperti  # samplers imports this module
+        return sample_lamperti(self.mu, self.p, rng, size, meta)
+
     def label(self) -> str:
         """e.g. ``ratio_a_mu0.3``: a float in six significant digits."""
         return self.kind + "".join(f"_{name}{value:g}" if isinstance(value, float)
@@ -363,6 +347,13 @@ class _ArcSine(LawSpec):
     _log_ratio_pdf = staticmethod(_arcsine_log_ratio_pdf)
     pdf = staticmethod(arcsine_pdf)
     cdf = staticmethod(arcsine_cdf)
+
+    def sample(self, rng, size, meta=None):
+        """cos(U)^2 with U uniform on [0, 2 pi): a float in [0, 1] every time,
+        so nothing is redrawn."""
+        from .samplers import _clean
+        return _clean(lambda k: np.cos(rng.generator.uniform(0.0, 2.0 * np.pi, k)) ** 2,
+                      np.isfinite, size, meta)
 
 
 def integrate_density(law: LawSpec, a: float, b: float) -> float:

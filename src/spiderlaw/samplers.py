@@ -15,9 +15,10 @@ with V uniform on (0, pi) and E a unit exponential, which realises the
 Laplace transform E[exp(-lambda S)] = exp(-lambda**mu) exactly and without
 rejection.  One kernel returns log(a(V) / E), and every stable-based law is
 a function of it: S itself, the ratio X = S/S', its power X**mu, and
-Lamperti's law A = expit(-log X + log(p/q)/mu), whose named points are the
-ratio A = S'/(S'+S) (p = 1/2) and the n-ray spider marginal (mu = 1/2,
-p = 1/n).  X**mu is formed from the logs, so it is finite for every mu.  An
+Lamperti's law A = expit(-log X + log(p/q)/mu), which
+``laws.LawSpec.sample`` draws at each of its points: the ratio
+A = S'/(S'+S) (p = 1/2) and the n-ray spider marginal (mu = 1/2, p = 1/n)
+among them.  X**mu is formed from the logs, so it is finite for every mu.  An
 S or X beyond the float range is kept as its correctly rounded value, inf
 or 0.0, just as A keeps 0.0 and 1.0; nothing that overflows is redrawn.
 The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard normal N.
@@ -169,11 +170,6 @@ def sample_lamperti(mu, p, rng: RngStream, size, meta: BatchMeta | None = None):
         return _expit((math.log(p / (1.0 - p)) - log_y) / mu)
 
 
-def sample_ratio_A(mu, rng: RngStream, size, meta: BatchMeta | None = None):
-    """A = S' / (S' + S) = 1 / (1 + X): Lamperti's law at p = 1/2."""
-    return sample_lamperti(mu, 0.5, rng, size, meta)
-
-
 def sample_occupation_exact(n: int, rng: RngStream, size,
                             meta: BatchMeta | None = None):
     """Occupation-fraction vectors: rows of n iid stable(1/2) draws,
@@ -181,57 +177,6 @@ def sample_occupation_exact(n: int, rng: RngStream, size,
     n = _validate_rays(n)
     t = sample_stable_half(rng, int(size) * n, meta).reshape(int(size), n)
     return t / t.sum(axis=1, keepdims=True)
-
-
-def sample_cauchy_spider_marginal(n: int, rng: RngStream, size,
-                                  meta: BatchMeta | None = None):
-    """One occupation fraction via its Cauchy form 1 / (1 + (n-1)^2 C^2)."""
-    n = _validate_rays(n)
-
-    def draw(k):
-        c = rng.generator.standard_cauchy(k)
-        return 1.0 / (1.0 + (n - 1) ** 2 * c * c)
-
-    ok = lambda v: np.isfinite(v) & (v > 0.0) & (v <= 1.0)
-    return _clean(draw, ok, size, meta)
-
-
-_ARCSINE_METHODS = ("cosine", "normal_ratio", "stable_ratio", "cauchy")
-
-
-def sample_arcsine(rng: RngStream, size, method="cosine",
-                   meta: BatchMeta | None = None):
-    """Arc-sine draws by any of the four classical representations.
-
-    ``cosine``       cos(U)^2 with U uniform on [0, 2 pi)
-    ``normal_ratio`` N^2 / (N^2 + N'^2)
-    ``stable_ratio`` T / (T + T') for iid stable(1/2) T, T'
-    ``cauchy``       1 / (1 + C^2)
-    """
-    if method not in _ARCSINE_METHODS:
-        raise ParameterDomainError(f"unknown arcsine method: {method!r}")
-
-    if method == "cosine":
-        def draw(k):
-            return np.cos(rng.generator.uniform(0.0, 2.0 * np.pi, k)) ** 2
-    elif method == "normal_ratio":
-        def draw(k):
-            a = rng.generator.standard_normal(k) ** 2
-            b = rng.generator.standard_normal(k) ** 2
-            with np.errstate(invalid="ignore"):
-                return a / (a + b)
-    elif method == "stable_ratio":
-        def draw(k):
-            t1 = sample_stable_half(rng, k, meta)
-            t2 = sample_stable_half(rng, k, meta)
-            return t1 / (t1 + t2)
-    else:
-        def draw(k):
-            c = rng.generator.standard_cauchy(k)
-            return 1.0 / (1.0 + c * c)
-
-    ok = lambda v: np.isfinite(v) & (v >= 0.0) & (v <= 1.0)
-    return _clean(draw, ok, size, meta)
 
 
 # ---------------------------------------------------------------------------

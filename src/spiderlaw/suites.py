@@ -42,10 +42,7 @@ from .laws import (
     fractional_moment,
     integrate_density,
     mellin_transform,
-    ratio_A_pdf,
     ratio_power_cdf,
-    spider_cdf,
-    spider_pdf,
     stieltjes_transform,
 )
 from .parallel import ordered_map
@@ -185,14 +182,14 @@ def density_suite():
     In L = log(X**mu) the weight p only shifts the integration interval, so
     a normalisation over all of [0, 1] would integrate g_{1/2} for every
     spider whatever n is.  The spider checks integrate [0, 1/4] instead,
-    against the closed-form ``spider_cdf``, which does depend on n.
+    against the closed-form ``LawSpec.spider(n).cdf``, which does depend on n.
     """
     reports = []
     grid = np.arange(1, 1000) / 1000.0
 
-    gap = np.abs(ratio_A_pdf(grid, 0.5) - arcsine_pdf(grid)).max()
+    gap = np.abs(LawSpec.ratio_a(0.5).pdf(grid) - arcsine_pdf(grid)).max()
     reports.append(_deterministic_report("reduction[ratio_a(mu=1/2)=arcsine]", gap, 1e-12))
-    gap = np.abs(spider_pdf(grid, 2) - arcsine_pdf(grid)).max()
+    gap = np.abs(LawSpec.spider(2).pdf(grid) - arcsine_pdf(grid)).max()
     reports.append(_deterministic_report("reduction[spider(n=2)=arcsine]", gap, 1e-12))
 
     arc = LawSpec.arcsine()
@@ -204,7 +201,7 @@ def density_suite():
         reports.append(_deterministic_report(f"normalization[ratio_a,mu={mu}]", gap, 1e-8))
     for n in SPIDER_RAYS:
         law = LawSpec.spider(n)
-        gap = abs(integrate_density(law, 0.0, _CDF_Z) - spider_cdf(_CDF_Z, n))
+        gap = abs(integrate_density(law, 0.0, _CDF_Z) - law.cdf(_CDF_Z))
         reports.append(_deterministic_report(f"cdf[spider,n={n},z={_CDF_Z}]", gap, 1e-8))
 
     for n in SPIDER_RAYS:

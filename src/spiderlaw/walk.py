@@ -23,12 +23,10 @@ unit tests cross-check every rule against a stepwise reference.  The cost
 grows with the number of excursions, about sqrt(steps), not with steps.
 
 First-return lengths are inverted from a table of P(T > 2k) up to 2**17
-steps, and past it from the asymptotic inverse, checked against the tail
-P(T > 2k) in float where that decides and in 50-digit ``decimal`` where it
-does not.  So every length past 2**17 and below 2**53 steps is exact.  The
-table is a float product that drifts from the true tail by up to 165 ulps,
-so a uniform between a table entry and the tail it stands for (probability
-2.1e-12 in all) comes out one length off.
+steps, each entry the tail rounded down, built exactly from integers, and
+past it from the asymptotic inverse, checked against the tail P(T > 2k) in
+float where that decides and in 50-digit ``decimal`` where it does not.
+So every length below 2**53 steps is exact.
 
 Paths draw in rounds of a number of excursions fixed by the configuration
 and the rule.  Round r of path p draws from the package's one stream
@@ -207,13 +205,22 @@ _return_tail: np.ndarray | None = None
 
 
 def _return_tail_table() -> np.ndarray:
-    """P(T > 2k) for k = 0..K, then a 0.0 sentinel at K + 1."""
+    """RD(P(T > 2k)), the largest float at or below the tail, for k = 0..K,
+    then a 0.0 sentinel at K + 1.  So an entry is below a float u exactly
+    when its tail is.
+
+    The integers L_0 = 2**128, L_k = floor(L_{k-1} (2k - 1) / (2k)) bound the
+    tail as L_k <= 2**128 P(T > 2k) < L_k + k + 1, and the entry is the top
+    53 bits of L_k, which L_k + k + 1 shares at every k up to K."""
     global _return_tail
     if _return_tail is None:
-        k = np.arange(1, _RETURN_TABLE_K + 1, dtype=np.float64)
-        tail = np.zeros(_RETURN_TABLE_K + 2)
+        tail, scaled = np.zeros(_RETURN_TABLE_K + 2), 1 << 128
         tail[0] = 1.0
-        np.cumprod((2.0 * k - 1.0) / (2.0 * k), out=tail[1:-1])
+        for k in range(1, _RETURN_TABLE_K + 1):
+            scaled = scaled * (2 * k - 1) // (2 * k)
+            shift = scaled.bit_length() - 53
+            assert (scaled + k + 1) >> shift == scaled >> shift
+            tail[k] = math.ldexp(scaled >> shift, shift - 128)
         _return_tail = tail
     return _return_tail
 
@@ -262,9 +269,9 @@ def _first_return_lengths(u: np.ndarray) -> np.ndarray:
     The length is 2k for the least k with P(T > 2k) < u.  The asymptotic
     inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it in the
     table, so one step up and one step down against the table find it up to
-    2**17 steps, exact but for a u within the table's float drift of a
-    tail.  Past the table, where float rounding of 1/(pi u^2) can move it by
-    more, it steps against :func:`_tail_below` until exact.
+    2**17 steps, exactly.  Past the table, where float rounding of
+    1/(pi u^2) can move it by more, it steps against :func:`_tail_below`
+    until exact.
     A k of 2**52 or more stands: such an excursion alone reaches the 2**53
     bound on step totals.
     """

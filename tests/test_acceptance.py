@@ -20,10 +20,7 @@ from spiderlaw import (
     density_mean,
     integrate_density,
     ks_one_sample,
-    ratio_A_pdf,
     sample_occupation_exact,
-    spider_cdf,
-    spider_pdf,
     stop_batch,
     verify_occupation_identity,
 )
@@ -42,8 +39,8 @@ def _conclude(num, name, ok, detail):
 
 def test_criterion_01_reduction_identities():
     t0 = time.monotonic()
-    gap_ratio = np.abs(ratio_A_pdf(GRID_999, 0.5) - arcsine_pdf(GRID_999)).max()
-    gap_spider = np.abs(spider_pdf(GRID_999, 2) - arcsine_pdf(GRID_999)).max()
+    gap_ratio = np.abs(LawSpec.ratio_a(0.5).pdf(GRID_999) - arcsine_pdf(GRID_999)).max()
+    gap_spider = np.abs(LawSpec.spider(2).pdf(GRID_999) - arcsine_pdf(GRID_999)).max()
     elapsed = time.monotonic() - t0
     ok = gap_ratio <= 1e-12 and gap_spider <= 1e-12 and elapsed < 1.0
     _conclude(1, "reduction identities",
@@ -95,7 +92,7 @@ def test_criterion_05_exact_sampler_matches_closed_form():
     worst_p = 1.0
     for i, n in enumerate((2, 3, 5)):
         rows = sample_occupation_exact(n, RngStream(SEED, 1000 + i), 100_000)
-        report = ks_one_sample(rows[:, 0], lambda z, n=n: spider_cdf(z, n),
+        report = ks_one_sample(rows[:, 0], LawSpec.spider(n).cdf,
                                seed=SEED, threshold=0.01)
         worst_p = min(worst_p, report.p_value)
         assert report.passed, (n, report.p_value)
@@ -136,8 +133,7 @@ def test_criterion_07_lattice_convergence():
     for run, steps in enumerate((1_000, 10_000, 100_000)):
         config = SpiderConfig(n=3, steps=steps, paths=5000, seed=SEED)
         batch = stop_batch(config, StoppingRule.fixed_time(), run_id=run)
-        report = ks_one_sample(batch.fractions[:, 0], lambda z: spider_cdf(z, 3),
-                               seed=SEED)
+        report = ks_one_sample(batch.fractions[:, 0], LawSpec.spider(3).cdf, seed=SEED)
         stats.append(report.statistic)
     elapsed = time.monotonic() - t0
     nonincreasing = all(b <= a + 0.005 for a, b in zip(stats, stats[1:]))
@@ -205,7 +201,7 @@ def test_criterion_10_figure_reproduction(tmp_path):
         law = LawSpec.spider(n)
         assert abs(integrate_density(law, 0.0, 1.0) - 1.0) <= 1e-8
         assert abs(density_mean(law) - 1.0 / n) <= 1e-8
-        cdf_at_tenth.append(float(spider_cdf(0.1, n)))
+        cdf_at_tenth.append(float(LawSpec.spider(n).cdf(0.1)))
     monotone = all(a < b for a, b in zip(cdf_at_tenth, cdf_at_tenth[1:]))
     ok = monotone and reduction_gap <= 1e-12
     _conclude(10, "figure outputs reproduce the density laws", ok,

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from spiderlaw import lamperti_cdf, ratio_power_cdf, spider_cdf
+from spiderlaw import LawSpec, lamperti_cdf, ratio_power_cdf
 
 TINY = np.finfo(float).tiny
 POINTS = 1000
@@ -99,7 +99,7 @@ def test_pinned_values():
     assert abs(ratio_power_cdf(1.0, 1.0 - 1e-8) - 0.5) <= math.ulp(0.5)
     # a lower tail far below the float epsilon keeps its digits
     assert math.isclose(ratio_power_cdf(1e-20, 0.3), 8.5839369133413974e-21, rel_tol=1e-15)
-    assert math.isclose(spider_cdf(1e-20, 3), 1.2732395447351628e-10, rel_tol=1e-14)
+    assert math.isclose(LawSpec.spider(3).cdf(1e-20), 1.2732395447351628e-10, rel_tol=1e-14)
     # a small mu is not the mu -> 0 limit 3/4
     assert math.isclose(ratio_power_cdf(3.0, 5e-6), 0.75000000000385531, rel_tol=1e-15)
 

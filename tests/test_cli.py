@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spiderlaw import GofReport, arcsine_cdf, arcsine_pdf, ks_one_sample, output
+from spiderlaw import GofReport, LawSpec, arcsine_pdf, ks_one_sample, output
 from spiderlaw.cli import main
 from spiderlaw.samplers import ChunkedSample, sample_positive_stable
 
@@ -66,12 +66,18 @@ def test_sample_writes_each_draw_as_its_repr(tmp_path):
     assert b"inf\r\n" in body and b"e+" in body and b"e-" in body
 
 
-def test_sample_arcsine_law_is_right(tmp_path):
+@pytest.mark.parametrize("options, law", [
+    (["--law", "arcsine"], LawSpec.arcsine()),
+    (["--law", "ratio-a", "--mu", "0.3"], LawSpec.ratio_a(0.3)),
+    (["--law", "spider-marginal", "--n", "3"], LawSpec.spider(3)),
+], ids=["arcsine", "ratio-a", "spider-marginal"])
+def test_sample_arcsine_law_is_right(tmp_path, options, law):
+    # each law on [0, 1] is its LawSpec row: the CSV follows that LawSpec's cdf
     out = tmp_path / "arc"
-    assert main(["sample", "--law", "arcsine", "--count", "100000",
+    assert main(["sample", *options, "--count", "100000",
                  "--seed", "9", "--out", str(out)]) == 0
     _, rows = _read_csv(tmp_path / "arc.csv")
-    assert ks_one_sample(rows[:, 0], arcsine_cdf, seed=9).passed
+    assert ks_one_sample(rows[:, 0], law.cdf, seed=9).passed
 
 
 def test_sample_spider_walk(tmp_path):
@@ -190,7 +196,7 @@ def test_outputs_into_missing_directory(tmp_path):
 
 @pytest.mark.parametrize("argv, work", [
     (["sample", "--law", "arcsine", "--count", "10", "--out", "afile/x"],
-     "spiderlaw.cli.sample_arcsine"),
+     "spiderlaw.laws._ArcSine.sample"),
     (["verify", "--suite", "densities", "--out", "afile/r.jsonl"],
      "spiderlaw.cli.run_suite"),
     (["figure-spider", "--out", "afile/f"], "spiderlaw.cli.build_density_curve"),
@@ -210,13 +216,13 @@ def test_out_under_a_regular_file(tmp_path, monkeypatch, capsys, argv, work):
 
 @pytest.mark.parametrize("argv, target, work", [
     (["sample", "--law", "arcsine", "--count", "10", "--out", "x"], "x.csv",
-     "spiderlaw.cli.sample_arcsine"),
+     "spiderlaw.laws._ArcSine.sample"),
     (["verify", "--suite", "densities", "--out", "r.jsonl"], "r.jsonl",
      "spiderlaw.cli.run_suite"),
     (["sample", "--law", "arcsine", "--count", "10", "--out", "x"], "x.json",
-     "spiderlaw.cli.sample_arcsine"),
+     "spiderlaw.laws._ArcSine.sample"),
     (["sample", "--law", "arcsine", "--count", "10", "--out", "x"],
-     "x.manifest.json", "spiderlaw.cli.sample_arcsine"),
+     "x.manifest.json", "spiderlaw.laws._ArcSine.sample"),
     (["sample", "--law", "spider-walk", "--n", "3", "--steps", "100", "--count", "4",
       "--out", "x"], "x.run.json", "spiderlaw.cli.run_walk_batch"),
     (["figure-ratio", "--mu", "0.5", "--out", "f"], "f_ratio_a_mu0.5.csv",

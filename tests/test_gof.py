@@ -9,6 +9,7 @@ from scipy import special as sp_special
 from spiderlaw import (
     ConvergencePoint,
     GofReport,
+    LawSpec,
     NonFiniteSamplesError,
     RngStream,
     UsageError,
@@ -19,7 +20,6 @@ from spiderlaw import (
     ks_one_sample,
     ks_two_sample,
     mc_transform_check,
-    sample_arcsine,
     summary_table,
     verify_occupation_identity,
     write_reports_jsonl,
@@ -68,7 +68,7 @@ def test_ks_one_sample_needs_samples():
 def test_ks_one_sample_matches_the_whole_array_formula(order):
     # the CDF and D+- are taken 2**14 sorted values at a time; a sample
     # already in order is not copied.  Neither may move the statistic.
-    draws = sample_arcsine(RngStream(19, 0), 50_000)
+    draws = LawSpec.arcsine().sample(RngStream(19, 0), 50_000)
     if order == "sorted":
         draws.sort()
     x = np.sort(draws)
@@ -82,7 +82,8 @@ def test_ks_one_sample_matches_the_whole_array_formula(order):
 
 
 def test_ks_one_sample_self_consistency():
-    draws = sample_arcsine(RngStream(7, 0), 100_000, method="cauchy")
+    c = RngStream(7, 0).generator.standard_cauchy(100_000)
+    draws = 1.0 / (1.0 + c * c)  # arc-sine by its Cauchy form
     assert ks_one_sample(draws, arcsine_cdf, seed=7).passed
 
 
@@ -90,8 +91,8 @@ def test_ks_two_sample_basics():
     a = np.linspace(0.0, 1.0, 500)
     identical = ks_two_sample(a, a.copy(), seed=0)
     assert identical.statistic == 0.0
-    b = sample_arcsine(RngStream(7, 1), 50_000)
-    c = sample_arcsine(RngStream(7, 2), 50_000)
+    b = LawSpec.arcsine().sample(RngStream(7, 1), 50_000)
+    c = LawSpec.arcsine().sample(RngStream(7, 2), 50_000)
     report = ks_two_sample(b, c, seed=7)
     assert report.passed
     sym = ks_two_sample(c, b, seed=7)
@@ -101,7 +102,7 @@ def test_ks_two_sample_basics():
 
 
 def test_ks_two_sample_separates_arcsine_from_uniform():
-    arc = sample_arcsine(RngStream(7, 3), 10_000)
+    arc = LawSpec.arcsine().sample(RngStream(7, 3), 10_000)
     uni = RngStream(7, 4).generator.random(10_000)
     report = ks_two_sample(arc, uni, seed=7)
     # the sup CDF gap between the two laws is ~0.105, far above noise

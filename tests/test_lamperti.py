@@ -20,10 +20,7 @@ from spiderlaw import (
     ks_two_sample,
     lamperti_cdf,
     lamperti_pdf,
-    sample_cauchy_spider_marginal,
     sample_lamperti,
-    spider_cdf,
-    spider_pdf,
 )
 from spiderlaw.laws import _g_mu, _integrate_log_ratio, _log_ratio_at
 
@@ -61,11 +58,11 @@ def test_cdf_is_monotone_from_zero_to_one(mu, p, z):
 @PROPERTY
 @given(z=UNIT, n=RAYS)
 def test_spider_is_the_point_half_one_over_n(z, n):
-    # the public spider names are this parameter map, and both agree with
-    # the spider law's own closed forms
+    # LawSpec.spider(n) is this parameter map, and both agree with the
+    # spider law's own closed forms
     pdf = lamperti_pdf(z, 0.5, 1.0 / n)
     cdf = lamperti_cdf(z, 0.5, 1.0 / n)
-    assert pdf == spider_pdf(z, n) and cdf == spider_cdf(z, n)
+    assert pdf == LawSpec.spider(n).pdf(z) and cdf == LawSpec.spider(n).cdf(z)
     w = 1.0 - z
     direct = 1.0 / (math.pi * math.sqrt(z * w) * ((n - 1) * z + w / (n - 1)))
     assert math.isclose(pdf, direct, rel_tol=1e-14)
@@ -129,7 +126,9 @@ def test_sampler_matches_the_closed_form(mu, p):
 @settings(PROPERTY, max_examples=6)
 @given(n=RAYS)
 def test_spider_point_matches_the_cauchy_sampler(n):
-    a = sample_lamperti(0.5, 1.0 / n, RngStream(29, 0), 20_000)
-    b = sample_cauchy_spider_marginal(n, RngStream(29, 1), 20_000)
+    # against the spider marginal's Cauchy form 1 / (1 + (n-1)^2 C^2)
+    a = LawSpec.spider(n).sample(RngStream(29, 0), 20_000)
+    c = RngStream(29, 1).generator.standard_cauchy(20_000)
+    b = 1.0 / (1.0 + (n - 1) ** 2 * c * c)
     report = ks_two_sample(a, b, seed=29)
     assert report.p_value >= 1e-3, report.p_value

@@ -17,12 +17,8 @@ from spiderlaw import (
     integrate_density,
     lamperti_cdf,
     mellin_transform,
-    ratio_A_cdf,
-    ratio_A_pdf,
     ratio_power_cdf,
     ratio_power_pdf,
-    spider_cdf,
-    spider_pdf,
     stieltjes_transform,
 )
 from spiderlaw.laws import _g_mu, _integrate_log_ratio
@@ -102,7 +98,7 @@ def test_ratio_power_cdf_keeps_its_precision_as_mu_vanishes(mu):
 # ---------------------------------------------------------------------------
 
 def test_ratio_A_reduces_to_arcsine_at_half():
-    gap = np.abs(ratio_A_pdf(GRID, 0.5) - arcsine_pdf(GRID))
+    gap = np.abs(LawSpec.ratio_a(0.5).pdf(GRID) - arcsine_pdf(GRID))
     assert gap.max() <= 1e-12
 
 
@@ -111,7 +107,8 @@ def test_ratio_A_symmetry_exact():
     # and equality holds bit for bit
     dyadic = np.arange(1, 1024) / 1024.0
     for mu in (0.2, 0.5, 0.85):
-        assert np.array_equal(ratio_A_pdf(dyadic, mu), ratio_A_pdf(1.0 - dyadic, mu))
+        law = LawSpec.ratio_a(mu)
+        assert np.array_equal(law.pdf(dyadic), law.pdf(1.0 - dyadic))
 
 
 @pytest.mark.parametrize("mu", [0.999, 0.99999, 1.0 - 1e-8])
@@ -121,7 +118,7 @@ def test_density_at_the_mode_keeps_its_precision_as_mu_nears_one(mu):
     # 1/2 and sin(pi d) / (4 pi mu sin^2(pi d / 2)) for the ratio power at 1
     d = 1.0 - mu
     half = math.sin(0.5 * math.pi * d) ** 2
-    assert ratio_A_pdf(0.5, mu) == pytest.approx(
+    assert LawSpec.ratio_a(mu).pdf(0.5) == pytest.approx(
         math.sin(math.pi * d) / (math.pi * half), rel=1e-13, abs=0.0)
     assert ratio_power_pdf(1.0, mu) == pytest.approx(
         math.sin(math.pi * d) / (4.0 * math.pi * mu * half), rel=1e-13, abs=0.0)
@@ -134,29 +131,30 @@ def test_ratio_A_normalises():
 
 def test_ratio_A_cdf_values():
     for mu in (0.2, 0.5, 0.8):
-        assert ratio_A_cdf(0.5, mu) == pytest.approx(0.5, abs=1e-12)
-        assert ratio_A_cdf(0.0, mu) == 0.0
-        assert ratio_A_cdf(1.0, mu) == 1.0
-    gap = np.abs(ratio_A_cdf(GRID, 0.5) - arcsine_cdf(GRID))
+        law = LawSpec.ratio_a(mu)
+        assert law.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
+        assert law.cdf(0.0) == 0.0
+        assert law.cdf(1.0) == 1.0
+    gap = np.abs(LawSpec.ratio_a(0.5).cdf(GRID) - arcsine_cdf(GRID))
     assert gap.max() <= 1e-10
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.6])
 def test_ratio_A_cdf_derivative_matches_pdf(mu):
-    h = 1e-6
+    h, law = 1e-6, LawSpec.ratio_a(mu)
     for z in np.linspace(0.05, 0.95, 19):
-        fd = (ratio_A_cdf(z + h, mu) - ratio_A_cdf(z - h, mu)) / (2 * h)
-        assert fd == pytest.approx(ratio_A_pdf(z, mu), abs=1e-4)
+        fd = (law.cdf(z + h) - law.cdf(z - h)) / (2 * h)
+        assert fd == pytest.approx(law.pdf(z), abs=1e-4)
 
 
 def test_other_cdf_derivatives_match_pdfs():
-    h = 1e-6
+    h, spider = 1e-6, LawSpec.spider(4)
     for y in np.linspace(0.2, 5.0, 13):
         fd = (ratio_power_cdf(y + h, 0.4) - ratio_power_cdf(y - h, 0.4)) / (2 * h)
         assert fd == pytest.approx(ratio_power_pdf(y, 0.4), abs=1e-4)
     for z in np.linspace(0.05, 0.95, 13):
-        fd = (spider_cdf(z + h, 4) - spider_cdf(z - h, 4)) / (2 * h)
-        assert fd == pytest.approx(spider_pdf(z, 4), abs=1e-4)
+        fd = (spider.cdf(z + h) - spider.cdf(z - h)) / (2 * h)
+        assert fd == pytest.approx(spider.pdf(z), abs=1e-4)
         fd = (arcsine_cdf(z + h) - arcsine_cdf(z - h)) / (2 * h)
         assert fd == pytest.approx(arcsine_pdf(z), abs=1e-4)
 
@@ -166,17 +164,18 @@ def test_other_cdf_derivatives_match_pdfs():
 # ---------------------------------------------------------------------------
 
 def test_spider_pdf_reduces_to_arcsine_for_two_rays():
-    gap = np.abs(spider_pdf(GRID, 2) - arcsine_pdf(GRID))
+    gap = np.abs(LawSpec.spider(2).pdf(GRID) - arcsine_pdf(GRID))
     assert gap.max() <= 1e-12
 
 
 def test_spider_pdf_value_three_rays():
     # hand evaluation: (1/pi) / ((1/2) (1 + 1/4)) = 8 / (5 pi)
-    assert spider_pdf(0.5, 3) == pytest.approx(0.5092958178940651, abs=1e-12)
+    assert LawSpec.spider(3).pdf(0.5) == pytest.approx(0.5092958178940651, abs=1e-12)
 
 
 def test_spider_pdf_not_symmetric_beyond_two_rays():
-    assert spider_pdf(0.1, 3) != pytest.approx(spider_pdf(0.9, 3), rel=1e-3)
+    law = LawSpec.spider(3)
+    assert law.pdf(0.1) != pytest.approx(law.pdf(0.9), rel=1e-3)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -186,21 +185,21 @@ def test_spider_mean_is_one_over_n(n):
 
 
 def test_spider_cdf_reduces_and_matches_quadrature():
-    assert spider_cdf(0.5, 2) == pytest.approx(0.5, abs=1e-14)
-    gap = np.abs(spider_cdf(GRID, 2) - arcsine_cdf(GRID))
+    assert LawSpec.spider(2).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
+    gap = np.abs(LawSpec.spider(2).cdf(GRID) - arcsine_cdf(GRID))
     assert gap.max() <= 1e-10
     for n in (3, 5):
         law = LawSpec.spider(n)
         for z in np.linspace(0.02, 0.98, 50):
             by_quad = integrate_density(law, 0.0, float(z))
-            assert spider_cdf(z, n) == pytest.approx(by_quad, abs=1e-8)
+            assert law.cdf(z) == pytest.approx(by_quad, abs=1e-8)
 
 
 def test_spider_domain():
     with pytest.raises(ParameterDomainError):
-        spider_pdf(0.5, 1)
+        LawSpec.spider(1).pdf(0.5)
     with pytest.raises(ParameterDomainError):
-        spider_cdf(0.5, 2.5)
+        LawSpec.spider(2.5).cdf(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,16 @@ import pytest
 
 from spiderlaw import (
     BatchMeta,
+    LawSpec,
     ParameterDomainError,
     RngStream,
     arcsine_cdf,
     ks_one_sample,
     ks_two_sample,
-    ratio_A_cdf,
     ratio_power_cdf,
-    sample_arcsine,
-    sample_cauchy_spider_marginal,
     sample_lamperti,
     sample_occupation_exact,
     sample_positive_stable,
-    sample_ratio_A,
     sample_ratio_X,
     sample_stable_half,
     save_sample_batch,
@@ -31,6 +28,10 @@ def _mc_band(values, target, band=4.0):
     return abs(values.mean() - target) <= band * se
 
 
+def _ratio_a(mu, rng, size, meta=None):
+    return LawSpec.ratio_a(mu).sample(rng, size, meta)
+
+
 # ---------------------------------------------------------------------------
 # parameter and type validation
 # ---------------------------------------------------------------------------
@@ -39,7 +40,7 @@ def _mc_band(values, target, band=4.0):
 def test_stable_params_domain(mu):
     # every stable sampler validates its exponent before drawing
     for sampler in (sample_positive_stable, sample_ratio_X, sample_ratio_power,
-                    sample_ratio_A):
+                    _ratio_a):
         with pytest.raises(ParameterDomainError):
             sampler(mu, RngStream(0), 1)
 
@@ -49,9 +50,9 @@ def test_determinism_bitwise():
         lambda r: sample_positive_stable(0.4, r, 64),
         lambda r: sample_stable_half(r, 64),
         lambda r: sample_ratio_X(0.4, r, 64),
-        lambda r: sample_ratio_A(0.4, r, 64),
-        lambda r: sample_cauchy_spider_marginal(4, r, 64),
-        lambda r: sample_arcsine(r, 64, method="normal_ratio"),
+        lambda r: _ratio_a(0.4, r, 64),
+        lambda r: LawSpec.spider(4).sample(r, 64),
+        lambda r: LawSpec.arcsine().sample(r, 64),
     ):
         assert np.array_equal(draw(RngStream(99, 5)), draw(RngStream(99, 5)))
 
@@ -135,14 +136,14 @@ def test_c_mu_positive_probability():
 
 
 def test_ratio_A_mean_and_support():
-    a = sample_ratio_A(0.3, RngStream(61, 0), 1_000_000)
+    a = _ratio_a(0.3, RngStream(61, 0), 1_000_000)
     assert _mc_band(a, 0.5)
     # draws within half an ulp of 1 round to 1.0, a correct float result
     assert ((a >= 0) & (a <= 1)).all()
 
 
 def test_ratio_A_is_arcsine_at_half():
-    a = sample_ratio_A(0.5, RngStream(61, 1), 100_000)
+    a = _ratio_a(0.5, RngStream(61, 1), 100_000)
     assert ks_one_sample(a, arcsine_cdf, seed=61).passed
 
 
@@ -150,7 +151,7 @@ def test_ratio_A_is_arcsine_at_half():
 def test_ratio_A_symmetric_at_small_mu(mu):
     # the law is symmetric about 1/2, in the bulk and in both tails
     meta = BatchMeta()
-    a = sample_ratio_A(mu, RngStream(3, 0), 1_000_000, meta=meta)
+    a = _ratio_a(mu, RngStream(3, 0), 1_000_000, meta=meta)
     assert _mc_band((a > 0.5).astype(float), 0.5)
     tail = 2.0 ** -20
     assert _mc_band((a >= 1.0 - tail).astype(float) - (a <= tail), 0.0)
@@ -162,11 +163,12 @@ def test_ratio_A_matches_closed_form_at_small_mu(mu):
     # up to z0 every float cell carries negligible mass, so KS applies to the
     # draws below z0; above it many draws round to 1.0, so only the mass of
     # that top interval is checked
-    a = sample_ratio_A(mu, RngStream(67, 1), 200_000)
+    law = LawSpec.ratio_a(mu)
+    a = law.sample(RngStream(67, 1), 200_000)
     z0 = 1.0 - 2.0 ** -20
-    f0 = ratio_A_cdf(z0, mu)
+    f0 = law.cdf(z0)
     body = a[a <= z0]
-    report = ks_one_sample(body, lambda z: ratio_A_cdf(z, mu) / f0, seed=67)
+    report = ks_one_sample(body, lambda z: law.cdf(z) / f0, seed=67)
     assert report.passed, report.p_value
     assert _mc_band((a > z0).astype(float), 1.0 - f0)
 
@@ -193,13 +195,13 @@ def test_ratio_power_matches_closed_form_at_tiny_mu(seed):
 
 def test_lamperti_at_half_is_ratio_A_bitwise():
     for mu in (0.005, 0.3, 0.7):
-        a = sample_ratio_A(mu, RngStream(17, 0), 10_000)
+        a = _ratio_a(mu, RngStream(17, 0), 10_000)
         b = sample_lamperti(mu, 0.5, RngStream(17, 0), 10_000)
         assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
-# occupation vector and its Cauchy marginal
+# occupation vector and its marginal, Lamperti's point (1/2, 1/n)
 # ---------------------------------------------------------------------------
 
 def test_occupation_exact_simplex():
@@ -225,37 +227,51 @@ def test_occupation_exact_exchangeable():
 
 def test_cauchy_marginal_matches_occupation_coordinate():
     for i, n in enumerate((2, 4)):
-        m = sample_cauchy_spider_marginal(n, RngStream(81, 2 * i), 100_000)
+        m = LawSpec.spider(n).sample(RngStream(81, 2 * i), 100_000)
         assert ((m > 0) & (m <= 1)).all()
         occ = sample_occupation_exact(n, RngStream(81, 2 * i + 1), 100_000)[:, 0]
         assert ks_two_sample(m, occ, seed=81).passed
 
 
 def test_cauchy_marginal_two_rays_is_arcsine():
-    m = sample_cauchy_spider_marginal(2, RngStream(81, 10), 100_000)
+    m = LawSpec.spider(2).sample(RngStream(81, 10), 100_000)
     assert ks_one_sample(m, arcsine_cdf, seed=81).passed
 
 
 # ---------------------------------------------------------------------------
-# the four arc-sine representations agree
+# the arc-sine law's own draw against three classical representations
 # ---------------------------------------------------------------------------
 
+def _normal_ratio(rng, size):
+    """N^2 / (N^2 + N'^2)."""
+    a = rng.generator.standard_normal(size) ** 2
+    b = rng.generator.standard_normal(size) ** 2
+    return a / (a + b)
+
+
+def _stable_ratio(rng, size):
+    """T / (T + T') for iid stable(1/2) T, T'."""
+    t1 = sample_stable_half(rng, size)
+    t2 = sample_stable_half(rng, size)
+    return t1 / (t1 + t2)
+
+
+def _cauchy(rng, size):
+    """1 / (1 + C^2)."""
+    c = rng.generator.standard_cauchy(size)
+    return 1.0 / (1.0 + c * c)
+
+
 def test_arcsine_representations_pairwise_indistinguishable():
-    methods = ("cosine", "normal_ratio", "stable_ratio", "cauchy")
-    batches = {
-        m: sample_arcsine(RngStream(91, i), 100_000, method=m)
-        for i, m in enumerate(methods)
-    }
+    draws = {"cosine": LawSpec.arcsine().sample, "normal_ratio": _normal_ratio,
+             "stable_ratio": _stable_ratio, "cauchy": _cauchy}
+    methods = tuple(draws)
+    batches = {m: draws[m](RngStream(91, i), 100_000) for i, m in enumerate(methods)}
     for i, m1 in enumerate(methods):
         for m2 in methods[i + 1:]:
             report = ks_two_sample(batches[m1], batches[m2], seed=91,
                                    name=f"arcsine:{m1}~{m2}")
             assert report.passed, report.test_name
-
-
-def test_arcsine_unknown_method():
-    with pytest.raises(ParameterDomainError):
-        sample_arcsine(RngStream(0), 10, method="polar")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +299,7 @@ def test_samplers_require_a_size():
     # there is no scalar mode: a size is a required positional argument
     assert _clean(lambda k: np.full(k, 2.5), np.isfinite, 1, None).tolist() == [2.5]
     with pytest.raises(TypeError):
-        sample_ratio_A(0.5, RngStream(0))
+        LawSpec.ratio_a(0.5).sample(RngStream(0))
     with pytest.raises(TypeError):
         sample_occupation_exact(3, RngStream(0))
 

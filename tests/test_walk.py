@@ -9,6 +9,7 @@ import pytest
 from scipy import stats as sp_stats
 
 from spiderlaw import (
+    LawSpec,
     ParameterDomainError,
     SpiderConfig,
     StoppingRule,
@@ -206,6 +207,29 @@ def test_random_draws_past_the_table_invert_against_the_float_tail():
     assert ((tail_k < u) & (u <= tail_before)).all()
 
 
+def test_table_first_return_inversion_is_exact():
+    # u at, and one float either side of, the table entry for k log-uniform
+    # over (2, 2**16): the inversion must give the least k with
+    # P(T > 2k) < u, with P(T > 2k) = C(2k, k) 4**-k as an exact fraction.
+    # Tails of neighbouring k differ by a factor 1 + 1/(2k - 1), so only
+    # k and k + 1 can be that least k.  The entry is the tail rounded down.
+    from fractions import Fraction
+
+    rng = np.random.default_rng(16)
+    ks = np.unique(np.floor(2.0 ** rng.uniform(1, 16, 100)).astype(int))
+    table = _return_tail_table()
+    u = np.stack([np.nextafter(table[ks], 0.0), table[ks], np.nextafter(table[ks], 1.0)])
+    got = _first_return_lengths(u.ravel()).reshape(u.shape) / 2.0
+    wrong = []
+    for k, g, x in zip(ks.tolist(), got.T, u.T):
+        tail = Fraction(math.comb(2 * k, k), 4 ** k)
+        least = [k if tail < Fraction(v) else k + 1 for v in x]
+        rounded_down = Fraction(x[1]) <= tail < Fraction(x[2])
+        if g.tolist() != least or not rounded_down:
+            wrong.append((k, g.tolist(), least))
+    assert not wrong, wrong[:5]
+
+
 def test_far_tail_first_return_inversion_is_exact_to_2_52():
     # u at, and one float either side of, P(T > 2k) for k log-uniform over
     # (2**16, 2**52): where the tails of k - 1, k and k + 1 are closest to
@@ -251,11 +275,9 @@ def test_two_ray_occupation_close_to_arcsine():
 
 
 def test_three_ray_occupation_matches_closed_form():
-    from spiderlaw import spider_cdf
-
     config = SpiderConfig(n=3, steps=20_000, paths=5000, seed=67)
     batch = stop_batch(config, StoppingRule.fixed_time())
-    report = ks_one_sample(batch.fractions[:, 0], lambda z: spider_cdf(z, 3),
+    report = ks_one_sample(batch.fractions[:, 0], LawSpec.spider(3).cdf,
                            seed=67, threshold=0.02, rule="stat_max")
     assert report.passed, report.statistic
 
