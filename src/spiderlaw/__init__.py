@@ -28,14 +28,10 @@ from .gof import (
 from .laws import (
     DensityCurve,
     LawSpec,
-    arcsine_cdf,
-    arcsine_pdf,
     build_density_curve,
     density_mean,
     fractional_moment,
     integrate_density,
-    lamperti_cdf,
-    lamperti_pdf,
     mellin_transform,
     ratio_power_cdf,
     ratio_power_pdf,
@@ -45,7 +41,6 @@ from .rng import RngStream, composite_stream_id
 from .samplers import (
     BatchMeta,
     sample_occupation_exact,
-    sample_lamperti,
     sample_positive_stable,
     sample_ratio_X,
     sample_stable_half,

@@ -2,15 +2,16 @@
 
 Three families of laws are covered:
 
-* the arc-sine law on [0, 1], kept as an independent reference;
+* the arc-sine law on [0, 1], ``LawSpec.arcsine()``, whose own formulas
+  are an independent check of Lamperti's at (1/2, 1/2);
 * the law of the mu-th power of a ratio X = S/S' of two iid one-sided
   stable(mu) variables, supported on [0, inf);
 * Lamperti's two-parameter law on [0, 1], the law of the time a skew Bessel
   process spends positive: A = p^(1/mu) S' / (p^(1/mu) S' + q^(1/mu) S) with
   q = 1 - p.  Its named points are the arc-sine law (1/2, 1/2), the ratio
   A = S'/(S'+S) at (mu, 1/2) and one occupation fraction of an n-ray spider
-  at (1/2, 1/n).  A :class:`LawSpec` is one such point, and the one handle
-  on its pdf, cdf and sampler.
+  at (1/2, 1/n).  A :class:`LawSpec` is one such point, and its methods are
+  the only form of its pdf, cdf and sampler.
 
 All of them are images of one law: L = mu log(S/S') = log(X**mu), which the
 samplers draw, is symmetric and smooth with density
@@ -45,13 +46,6 @@ def _validate_mu(mu):
     if not 0.0 < mu < 1.0:
         raise ParameterDomainError(f"stable exponent must lie in (0, 1): {mu}")
     return mu
-
-
-def _validate_p(p):
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ParameterDomainError(f"Lamperti weight p must lie in (0, 1): {p}")
-    return p
 
 
 def _validate_rays(n):
@@ -140,12 +134,6 @@ def _expit(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _arcsine_log_ratio_pdf(x):
-    """The arc-sine law's own density in L, 2 sqrt(z w) / pi on the exact pair
-    z = expit(-2L), w = expit(2L), so that its normalisation checks g_mu."""
-    return 2.0 * math.sqrt(_expit(-2.0 * x) * _expit(2.0 * x)) / math.pi
-
-
 def _log_ratio_at(z, mu, p):
     """The L at which Lamperti's A equals z: log(p/q) + mu log((1 - z) / z)."""
     with np.errstate(divide="ignore"):  # +-inf at z = 0 and 1
@@ -173,22 +161,6 @@ def _integrate_log_ratio(f, mu, lo, hi, cuts=()):
 
 
 # ---------------------------------------------------------------------------
-# arc-sine law
-# ---------------------------------------------------------------------------
-
-def arcsine_pdf(z):
-    """1 / (pi sqrt(z (1 - z))) on the open interval (0, 1)."""
-    arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
-    return _scalar_like(z, 1.0 / (np.pi * np.sqrt(arr * (1.0 - arr))))
-
-
-def arcsine_cdf(z):
-    """(2 / pi) arcsin(sqrt(z)) on [0, 1]."""
-    arr = _as_array(z, "z", 0.0, 1.0)
-    return _scalar_like(z, (2.0 / np.pi) * np.arcsin(np.sqrt(arr)))
-
-
-# ---------------------------------------------------------------------------
 # power of a stable ratio: Y = (S/S')**mu on [0, inf)
 # ---------------------------------------------------------------------------
 
@@ -211,33 +183,6 @@ def ratio_power_cdf(y, mu):
     t = np.minimum(arr, np.divide(1.0, big, out=big), out=big)
     tail = _log_ratio_tail(d, t, mu)
     return _scalar_like(y, np.subtract(1.0, tail, out=tail, where=arr > 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Lamperti's law on [0, 1]
-# ---------------------------------------------------------------------------
-
-def lamperti_pdf(z, mu, p):
-    """sin(pi mu) / (pi z (1-z)) / (r + 1/r + 2 cos(pi mu)) on (0, 1), where
-    r = (p/q) ((1-z)/z)**mu, formed as mu g_mu(log r) / (z (1-z)) from the
-    powers (p/q) (1-z)**mu and z**mu.  At p = 1/2 the odds are exactly 1.0,
-    so swapping z and 1 - z repeats the same float operations."""
-    mu, p = _validate_mu(mu), _validate_p(p)
-    arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
-    w = 1.0 - arr
-    with np.errstate(over="ignore"):  # the density exceeds the float range at subnormal z
-        dens = mu * _power_ratio_density(p / (1.0 - p) * w**mu, arr**mu, mu) / (arr * w)
-    return _scalar_like(z, dens)
-
-
-def lamperti_cdf(z, mu, p):
-    """P(A <= z) = P(L >= x) at x = log(p/q) + mu log((1-z)/z): the tail of
-    L at |x|, or one minus it for x < 0; z = 0 and 1 are x = +-inf."""
-    mu, p = _validate_mu(mu), _validate_p(p)
-    x = _log_ratio_at(_as_array(z, "z", 0.0, 1.0), mu, p)
-    minus_u = -np.abs(x)
-    tail = _log_ratio_tail(-np.expm1(minus_u), np.exp(minus_u), mu)
-    return _scalar_like(z, np.subtract(1.0, tail, out=tail, where=x < 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +244,10 @@ class LawSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _validate_mu(self.mu))
-        object.__setattr__(self, "p", _validate_p(self.p))
+        p = float(self.p)
+        if not 0.0 < p < 1.0:
+            raise ParameterDomainError(f"Lamperti weight p must lie in (0, 1): {p}")
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def arcsine(cls) -> LawSpec:
@@ -320,16 +268,35 @@ class LawSpec:
         """The density of L at a float x."""
         return _g_mu(x, self.mu)
 
-    def pdf(self, x):
-        return lamperti_pdf(x, self.mu, self.p)
+    def pdf(self, z):
+        """sin(pi mu) / (pi z (1-z)) / (r + 1/r + 2 cos(pi mu)) on (0, 1), where
+        r = (p/q) ((1-z)/z)**mu, formed as mu g_mu(log r) / (z (1-z)) from the
+        powers (p/q) (1-z)**mu and z**mu.  At p = 1/2 the odds are exactly 1.0,
+        so swapping z and 1 - z repeats the same float operations."""
+        mu, p = self.mu, self.p
+        arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
+        w = 1.0 - arr
+        with np.errstate(over="ignore"):  # the density exceeds the float range at subnormal z
+            dens = mu * _power_ratio_density(p / (1.0 - p) * w**mu, arr**mu, mu) / (arr * w)
+        return _scalar_like(z, dens)
 
-    def cdf(self, x):
-        return lamperti_cdf(x, self.mu, self.p)
+    def cdf(self, z):
+        """P(A <= z) = P(L >= x) at x = log(p/q) + mu log((1-z)/z): the tail of
+        L at |x|, or one minus it for x < 0; z = 0 and 1 are x = +-inf."""
+        x = _log_ratio_at(_as_array(z, "z", 0.0, 1.0), self.mu, self.p)
+        minus_u = -np.abs(x)
+        tail = _log_ratio_tail(-np.expm1(minus_u), np.exp(minus_u), self.mu)
+        return _scalar_like(z, np.subtract(1.0, tail, out=tail, where=x < 0.0))
 
     def sample(self, rng, size, meta=None):
-        """``size`` draws through the stable kernel in log space."""
-        from .samplers import sample_lamperti  # samplers imports this module
-        return sample_lamperti(self.mu, self.p, rng, size, meta)
+        """``size`` draws of A = p^(1/mu) S' / (p^(1/mu) S' + q^(1/mu) S), formed
+        in log space as expit((log(p/q) - log(X**mu)) / mu), so both tails
+        round alike; a draw that rounds to 0.0 or 1.0 is a correct float
+        result and is kept."""
+        from .samplers import _log_ratio  # samplers imports this module
+        log_y = (1.0 - self.mu) * _log_ratio(self.mu, rng, size, meta)  # log(X**mu)
+        with np.errstate(over="ignore"):
+            return _expit((math.log(self.p / (1.0 - self.p)) - log_y) / self.mu)
 
     def label(self) -> str:
         """e.g. ``ratio_a_mu0.3``: a float in six significant digits."""
@@ -344,9 +311,20 @@ class _ArcSine(LawSpec):
     """The point (1/2, 1/2) through the arc-sine law's own formulas, an
     independent check of the family's."""
 
-    _log_ratio_pdf = staticmethod(_arcsine_log_ratio_pdf)
-    pdf = staticmethod(arcsine_pdf)
-    cdf = staticmethod(arcsine_cdf)
+    def _log_ratio_pdf(self, x):
+        """The arc-sine law's own density in L, 2 sqrt(z w) / pi on the exact pair
+        z = expit(-2L), w = expit(2L), so that its normalisation checks g_mu."""
+        return 2.0 * math.sqrt(_expit(-2.0 * x) * _expit(2.0 * x)) / math.pi
+
+    def pdf(self, z):
+        """1 / (pi sqrt(z (1 - z))) on the open interval (0, 1)."""
+        arr = _as_array(z, "z", 0.0, 1.0, open_low=True, open_high=True)
+        return _scalar_like(z, 1.0 / (np.pi * np.sqrt(arr * (1.0 - arr))))
+
+    def cdf(self, z):
+        """(2 / pi) arcsin(sqrt(z)) on [0, 1]."""
+        arr = _as_array(z, "z", 0.0, 1.0)
+        return _scalar_like(z, (2.0 / np.pi) * np.arcsin(np.sqrt(arr)))
 
     def sample(self, rng, size, meta=None):
         """cos(U)^2 with U uniform on [0, 2 pi): a float in [0, 1] every time,

@@ -15,12 +15,12 @@ with V uniform on (0, pi) and E a unit exponential, which realises the
 Laplace transform E[exp(-lambda S)] = exp(-lambda**mu) exactly and without
 rejection.  One kernel returns log(a(V) / E), and every stable-based law is
 a function of it: S itself, the ratio X = S/S', its power X**mu, and
-Lamperti's law A = expit(-log X + log(p/q)/mu), which
-``laws.LawSpec.sample`` draws at each of its points: the ratio
-A = S'/(S'+S) (p = 1/2) and the n-ray spider marginal (mu = 1/2, p = 1/n)
-among them.  X**mu is formed from the logs, so it is finite for every mu.  An
-S or X beyond the float range is kept as its correctly rounded value, inf
-or 0.0, just as A keeps 0.0 and 1.0; nothing that overflows is redrawn.
+Lamperti's law A = expit(-log X + log(p/q)/mu), which ``laws.LawSpec.sample``
+draws from :func:`_log_ratio` at each of its points: the ratio A = S'/(S'+S)
+(p = 1/2) and the n-ray spider marginal (mu = 1/2, p = 1/n) among them.
+X**mu is formed from the logs, so it is finite for every mu.  An S or X
+beyond the float range is kept as its correctly rounded value, inf or 0.0,
+just as A keeps 0.0 and 1.0; nothing that overflows is redrawn.
 The mu = 1/2 case has the direct form 1 / (2 N**2) for a standard normal N.
 
 A :class:`ChunkedSample` lays a large sample out in chunks of
@@ -33,7 +33,6 @@ namespace listed in :mod:`spiderlaw.rng`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from . import output
 from .errors import ParameterDomainError
-from .laws import _expit, _validate_mu, _validate_p, _validate_rays
+from .laws import _validate_mu, _validate_rays
 from .output import sidecar_path, write_csv, write_json
 from .rng import RngStream, composite_stream_id
 
@@ -59,8 +58,8 @@ _MAX_REDRAW_ROUNDS = 64
 def _clean(draw, ok, size, meta: BatchMeta | None):
     """Draw ``size`` values, redrawing entries rejected by ``ok``."""
     n = int(size)
-    if n < 0:
-        raise ParameterDomainError(f"sample size must be nonnegative: {size}")
+    if n != size or n < 0:
+        raise ParameterDomainError(f"sample size must be a nonnegative integer: {size}")
     values = draw(n)
     bad = ~ok(values)
     rounds = 0
@@ -155,19 +154,6 @@ def sample_ratio_power(mu, rng: RngStream, size, meta: BatchMeta | None = None):
     """Y = X**mu = (S / S')**mu, the law of :func:`~spiderlaw.laws.ratio_power_pdf`."""
     mu = _validate_mu(mu)
     return np.exp((1.0 - mu) * _log_ratio(mu, rng, size, meta))
-
-
-def sample_lamperti(mu, p, rng: RngStream, size, meta: BatchMeta | None = None):
-    """Lamperti's law: A = p^(1/mu) S' / (p^(1/mu) S' + q^(1/mu) S), q = 1 - p.
-
-    Formed in log space as expit((log(p/q) - log(X**mu)) / mu), so both tails
-    round alike; a draw that rounds to 0.0 or 1.0 is a correct float result
-    and is kept.
-    """
-    mu, p = _validate_mu(mu), _validate_p(p)
-    log_y = (1.0 - mu) * _log_ratio(mu, rng, size, meta)  # log(X**mu)
-    with np.errstate(over="ignore"):
-        return _expit((math.log(p / (1.0 - p)) - log_y) / mu)
 
 
 def sample_occupation_exact(n: int, rng: RngStream, size,

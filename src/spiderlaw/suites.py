@@ -37,7 +37,6 @@ from .gof import (
 )
 from .laws import (
     LawSpec,
-    arcsine_pdf,
     density_mean,
     fractional_moment,
     integrate_density,
@@ -47,6 +46,7 @@ from .laws import (
 )
 from .parallel import ordered_map
 from .samplers import ChunkedSample, sample_positive_stable, sample_ratio_X
+from .walk import _return_tail_table
 
 TRANSFORM_MUS = (0.3, 0.5, 0.7)
 LAPLACE_LAMBDAS = (0.5, 1.0, 2.0)
@@ -187,12 +187,12 @@ def density_suite():
     reports = []
     grid = np.arange(1, 1000) / 1000.0
 
-    gap = np.abs(LawSpec.ratio_a(0.5).pdf(grid) - arcsine_pdf(grid)).max()
+    arc = LawSpec.arcsine()
+    gap = np.abs(LawSpec.ratio_a(0.5).pdf(grid) - arc.pdf(grid)).max()
     reports.append(_deterministic_report("reduction[ratio_a(mu=1/2)=arcsine]", gap, 1e-12))
-    gap = np.abs(LawSpec.spider(2).pdf(grid) - arcsine_pdf(grid)).max()
+    gap = np.abs(LawSpec.spider(2).pdf(grid) - arc.pdf(grid)).max()
     reports.append(_deterministic_report("reduction[spider(n=2)=arcsine]", gap, 1e-12))
 
-    arc = LawSpec.arcsine()
     reports.append(_deterministic_report(
         "normalization[arcsine]", abs(integrate_density(arc, 0.0, 1.0) - 1.0), 1e-8))
     for mu in NORMALIZATION_MUS:
@@ -221,6 +221,9 @@ def density_suite():
 
 def occupation_tasks(seed):
     """One task per ray count: the occupation identity across stopping rules."""
+    # built here, in the process that forks the task workers, so that they
+    # inherit the first-return table rather than each building its own
+    _return_tail_table()
     return [functools.partial(verify_occupation_identity, n, paths=_OCCUPATION_PATHS,
                               steps=_OCCUPATION_STEPS, seed=seed)
             for n in OCCUPATION_RAYS]

@@ -82,6 +82,8 @@ class SpiderConfig:
             raise ParameterDomainError(f"paths must be a positive integer: {self.paths}")
         if int(self.seed) != self.seed or not 0 <= self.seed < 1 << 64:
             raise ParameterDomainError(f"seed must be a 64-bit unsigned int: {self.seed}")
+        for name in ("n", "steps", "paths", "seed"):  # an integer-valued float passes; keep the int
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 _RULE_KINDS = ("fixed_time", "inverse_occupation", "inverse_local_time")
@@ -110,6 +112,7 @@ class StoppingRule:
         if self.kind == "inverse_occupation":
             if self.ray is None or int(self.ray) != self.ray or self.ray < 1:
                 raise ParameterDomainError(f"need a 1-based ray index, got {self.ray}")
+            object.__setattr__(self, "ray", int(self.ray))
         elif self.ray is not None:
             raise ParameterDomainError(f"{self.kind} takes no ray index")
 

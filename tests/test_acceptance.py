@@ -14,8 +14,6 @@ from spiderlaw import (
     RngStream,
     SpiderConfig,
     StoppingRule,
-    arcsine_cdf,
-    arcsine_pdf,
     cauchy_square_convergence,
     density_mean,
     integrate_density,
@@ -39,8 +37,8 @@ def _conclude(num, name, ok, detail):
 
 def test_criterion_01_reduction_identities():
     t0 = time.monotonic()
-    gap_ratio = np.abs(LawSpec.ratio_a(0.5).pdf(GRID_999) - arcsine_pdf(GRID_999)).max()
-    gap_spider = np.abs(LawSpec.spider(2).pdf(GRID_999) - arcsine_pdf(GRID_999)).max()
+    gap_ratio = np.abs(LawSpec.ratio_a(0.5).pdf(GRID_999) - LawSpec.arcsine().pdf(GRID_999)).max()
+    gap_spider = np.abs(LawSpec.spider(2).pdf(GRID_999) - LawSpec.arcsine().pdf(GRID_999)).max()
     elapsed = time.monotonic() - t0
     ok = gap_ratio <= 1e-12 and gap_spider <= 1e-12 and elapsed < 1.0
     _conclude(1, "reduction identities",
@@ -146,9 +144,9 @@ def test_criterion_08_classical_arcsine_functionals():
     t0 = time.monotonic()
     config = SpiderConfig(n=2, steps=10_000, paths=5000, seed=SEED)
     batch = stop_batch(config, StoppingRule.fixed_time(), run_id=7)
-    rep_zero = ks_one_sample(batch.last_zero_fraction, arcsine_cdf, seed=SEED,
+    rep_zero = ks_one_sample(batch.last_zero_fraction, LawSpec.arcsine().cdf, seed=SEED,
                              threshold=0.02, rule="stat_max")
-    rep_occ = ks_one_sample(batch.fractions[:, 0], arcsine_cdf, seed=SEED,
+    rep_occ = ks_one_sample(batch.fractions[:, 0], LawSpec.arcsine().cdf, seed=SEED,
                             threshold=0.02, rule="stat_max")
     elapsed = time.monotonic() - t0
     ok = rep_zero.passed and rep_occ.passed
@@ -190,7 +188,7 @@ def test_criterion_10_figure_reproduction(tmp_path):
     rows = np.array([[float(v) for v in line.split(",")]
                      for line in (tmp_path / "fig_ratio_ratio_a_mu0.5.csv")
                      .read_text().splitlines()[2:-1]])
-    reduction_gap = np.abs(rows[:, 1] - arcsine_pdf(rows[:, 0])).max()
+    reduction_gap = np.abs(rows[:, 1] - LawSpec.arcsine().pdf(rows[:, 0])).max()
     assert reduction_gap <= 1e-12
     for mu in (0.1, 0.25, 0.5, 0.75, 0.9):
         law = LawSpec.ratio_a(mu)

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from spiderlaw import LawSpec, lamperti_cdf, ratio_power_cdf
+from spiderlaw import LawSpec, ratio_power_cdf
 
 TINY = np.finfo(float).tiny
 POINTS = 1000
@@ -91,7 +91,7 @@ def test_lamperti_cdf_matches_mpmath():
         scale = max(1.0, abs(float(log_odds)), abs(float(log_z)))
         slack = _density(x, mu) * 4.0 * math.ulp(scale)
         below, above = _tails(x, mu)  # P(A <= z) = P(L >= x)
-        _check(lamperti_cdf(z, mu, p), above, below, slack)
+        _check(LawSpec("lamperti", mu, p).cdf(z), above, below, slack)
 
 
 def test_pinned_values():
@@ -107,4 +107,5 @@ def test_pinned_values():
 @pytest.mark.parametrize("mu", [5e-324, 1e-300, 0.5, 1.0 - 1e-9])
 def test_endpoints_are_exact(mu):
     assert ratio_power_cdf(0.0, mu) == 0.0
-    assert lamperti_cdf(0.0, mu, 0.3) == 0.0 and lamperti_cdf(1.0, mu, 0.3) == 1.0
+    law = LawSpec("lamperti", mu, 0.3)
+    assert law.cdf(0.0) == 0.0 and law.cdf(1.0) == 1.0

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spiderlaw import GofReport, LawSpec, arcsine_pdf, ks_one_sample, output
+from spiderlaw import GofReport, LawSpec, ks_one_sample, output
 from spiderlaw.cli import main
 from spiderlaw.samplers import ChunkedSample, sample_positive_stable
 
@@ -311,7 +311,7 @@ def test_figure_ratio_outputs(tmp_path):
     # the mu = 1/2 curve is the arc-sine curve
     _, rows = _read_csv(tmp_path / "fig1_ratio_a_mu0.5.csv")
     interior = rows[1:-1]
-    assert np.abs(interior[:, 1] - arcsine_pdf(interior[:, 0])).max() <= 1e-12
+    assert np.abs(interior[:, 1] - LawSpec.arcsine().pdf(interior[:, 0])).max() <= 1e-12
     # every emitted curve is symmetric about 1/2
     for mu in ("0.1", "0.25", "0.5", "0.75", "0.9"):
         _, rows = _read_csv(tmp_path / f"fig1_ratio_a_mu{mu}.csv")
@@ -360,7 +360,7 @@ def test_figure_spider_outputs(tmp_path):
     # the two-ray curve is the arc-sine curve
     _, rows = _read_csv(tmp_path / "fig2_spider_occupation_n2.csv")
     interior = rows[1:-1]
-    assert np.abs(interior[:, 1] - arcsine_pdf(interior[:, 0])).max() <= 1e-12
+    assert np.abs(interior[:, 1] - LawSpec.arcsine().pdf(interior[:, 0])).max() <= 1e-12
 
     # growing ray count pushes mass toward 0: cdf(0.1) increases in n,
     # and for n=8 the mass below 0.1 beats the mass above 0.9

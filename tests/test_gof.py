@@ -13,7 +13,6 @@ from spiderlaw import (
     NonFiniteSamplesError,
     RngStream,
     UsageError,
-    arcsine_cdf,
     cauchy_square_convergence,
     composite_stream_id,
     kolmogorov_sf,
@@ -47,13 +46,13 @@ def test_ks_one_sample_plugin_identity():
     samples = [0.0] * m
     for k in range(1, m + 1):
         samples[k - 1] = math.sin(math.pi * (k - 0.5) / m / 2) ** 2  # arcsine quantiles
-    report = ks_one_sample(samples, arcsine_cdf, seed=1)
+    report = ks_one_sample(samples, LawSpec.arcsine().cdf, seed=1)
     assert report.statistic == pytest.approx(0.5 / m, abs=1e-12)
     assert report.passed
 
 
 def test_ks_one_sample_degenerate_input():
-    report = ks_one_sample([0.25] * 1000, arcsine_cdf, seed=1)
+    report = ks_one_sample([0.25] * 1000, LawSpec.arcsine().cdf, seed=1)
     assert report.statistic >= 0.5
     assert report.p_value < 1e-12
     assert not report.passed
@@ -61,7 +60,7 @@ def test_ks_one_sample_degenerate_input():
 
 def test_ks_one_sample_needs_samples():
     with pytest.raises(UsageError):
-        ks_one_sample([0.1] * 9, arcsine_cdf)
+        ks_one_sample([0.1] * 9, LawSpec.arcsine().cdf)
 
 
 @pytest.mark.parametrize("order", ["shuffled", "sorted"])
@@ -73,9 +72,9 @@ def test_ks_one_sample_matches_the_whole_array_formula(order):
         draws.sort()
     x = np.sort(draws)
     n = x.size
-    c = arcsine_cdf(x)
+    c = LawSpec.arcsine().cdf(x)
     whole = float(max((np.arange(1, n + 1) / n - c).max(), (c - np.arange(0, n) / n).max()))
-    report = ks_one_sample(draws, arcsine_cdf, seed=19)
+    report = ks_one_sample(draws, LawSpec.arcsine().cdf, seed=19)
     assert report.statistic == whole
     assert report.p_value == kolmogorov_sf(math.sqrt(n) * whole)
     assert -(-n // output._CHUNK_ROWS) == 4
@@ -84,7 +83,7 @@ def test_ks_one_sample_matches_the_whole_array_formula(order):
 def test_ks_one_sample_self_consistency():
     c = RngStream(7, 0).generator.standard_cauchy(100_000)
     draws = 1.0 / (1.0 + c * c)  # arc-sine by its Cauchy form
-    assert ks_one_sample(draws, arcsine_cdf, seed=7).passed
+    assert ks_one_sample(draws, LawSpec.arcsine().cdf, seed=7).passed
 
 
 def test_ks_two_sample_basics():
@@ -250,6 +249,14 @@ def test_occupation_identity_walks_clear_of_the_exact_stream(monkeypatch):
     assert (13, composite_stream_id(0, 0)) in stream_keys
     assert len(walk_keys) == 3 * 500
     assert not walk_keys & stream_keys
+
+
+def test_occupation_tasks_build_the_first_return_table(monkeypatch):
+    # the tasks run in forked workers, which inherit a table built by the
+    # process that makes them instead of each building its own
+    monkeypatch.setattr(walk, "_return_tail", None)
+    suites.occupation_tasks(1)
+    assert walk._return_tail is not None
 
 
 def test_verify_reports_reproducible_bitwise():

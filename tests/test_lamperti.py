@@ -18,9 +18,6 @@ from spiderlaw import (
     density_mean,
     ks_one_sample,
     ks_two_sample,
-    lamperti_cdf,
-    lamperti_pdf,
-    sample_lamperti,
 )
 from spiderlaw.laws import _g_mu, _integrate_log_ratio, _log_ratio_at
 
@@ -40,7 +37,7 @@ def _band(hits, expected, band=4.0):
 @given(mu=UNIT, p=UNIT, z=st.lists(UNIT, min_size=1, max_size=20))
 def test_pdf_is_nonnegative(mu, p, z):
     for points in (np.asarray(z), GRID):
-        dens = lamperti_pdf(points, mu, p)
+        dens = LawSpec("lamperti", mu, p).pdf(points)
         assert not np.isnan(dens).any()
         assert (dens >= 0.0).all()
 
@@ -49,7 +46,7 @@ def test_pdf_is_nonnegative(mu, p, z):
 @given(mu=UNIT, p=UNIT, z=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
 def test_cdf_is_monotone_from_zero_to_one(mu, p, z):
     points = np.sort(np.concatenate([[0.0, 1.0], z, GRID]))
-    cdf = lamperti_cdf(points, mu, p)
+    cdf = LawSpec("lamperti", mu, p).cdf(points)
     assert cdf[0] == 0.0 and cdf[-1] == 1.0
     assert ((cdf >= 0.0) & (cdf <= 1.0)).all()
     assert (np.diff(cdf) >= 0.0).all()
@@ -60,8 +57,8 @@ def test_cdf_is_monotone_from_zero_to_one(mu, p, z):
 def test_spider_is_the_point_half_one_over_n(z, n):
     # LawSpec.spider(n) is this parameter map, and both agree with the
     # spider law's own closed forms
-    pdf = lamperti_pdf(z, 0.5, 1.0 / n)
-    cdf = lamperti_cdf(z, 0.5, 1.0 / n)
+    law = LawSpec("lamperti", 0.5, 1.0 / n)
+    pdf, cdf = law.pdf(z), law.cdf(z)
     assert pdf == LawSpec.spider(n).pdf(z) and cdf == LawSpec.spider(n).cdf(z)
     w = 1.0 - z
     direct = 1.0 / (math.pi * math.sqrt(z * w) * ((n - 1) * z + w / (n - 1)))
@@ -83,7 +80,7 @@ def test_quadrature_normalises_the_pdf(mu, p, z):
     mean = density_mean(LawSpec("lamperti", mu, p))
     note(f"integral {total!r}, mass below z {below!r}, mean {mean!r}")
     assert abs(total - 1.0) <= 1e-8
-    assert abs(below - lamperti_cdf(z, mu, p)) <= 1e-8
+    assert abs(below - LawSpec("lamperti", mu, p).cdf(z)) <= 1e-8
     assert abs(mean - p) <= 1e-8
 
 
@@ -109,15 +106,16 @@ def test_sampler_matches_the_closed_form(mu, p):
     # assumes a continuous law: where the law is narrower than a few float
     # spacings (mu within ulps of 1, all mass at A = p) the draws repeat
     # and only the bands apply
-    a = sample_lamperti(mu, p, RngStream(23, 0), 20_000)
+    law = LawSpec("lamperti", mu, p)
+    a = law.sample(RngStream(23, 0), 20_000)
     lo, hi = 2.0 ** -20, 1.0 - 2.0 ** -20
-    f_lo, f_hi = lamperti_cdf(lo, mu, p), lamperti_cdf(hi, mu, p)
+    f_lo, f_hi = law.cdf(lo), law.cdf(hi)
     body = a[(a >= lo) & (a <= hi)]
     note(f"body {body.size} ({np.unique(body).size} distinct), F(lo) {f_lo!r}, "
          f"F(hi) {f_hi!r}")
     if body.size >= 100 and np.unique(body).size == body.size:
         report = ks_one_sample(
-            body, lambda z: (lamperti_cdf(z, mu, p) - f_lo) / (f_hi - f_lo), seed=23)
+            body, lambda z: (law.cdf(z) - f_lo) / (f_hi - f_lo), seed=23)
         assert report.p_value >= 1e-3, report.p_value
     assert _band(a < lo, f_lo)
     assert _band(a > hi, 1.0 - f_hi)

@@ -9,13 +9,10 @@ from scipy import integrate as sp_integrate
 from spiderlaw import (
     LawSpec,
     ParameterDomainError,
-    arcsine_cdf,
-    arcsine_pdf,
     build_density_curve,
     density_mean,
     fractional_moment,
     integrate_density,
-    lamperti_cdf,
     mellin_transform,
     ratio_power_cdf,
     ratio_power_pdf,
@@ -24,6 +21,7 @@ from spiderlaw import (
 from spiderlaw.laws import _g_mu, _integrate_log_ratio
 
 GRID = np.arange(1, 1000) / 1000.0
+ARCSINE = LawSpec.arcsine()
 
 
 # ---------------------------------------------------------------------------
@@ -31,22 +29,22 @@ GRID = np.arange(1, 1000) / 1000.0
 # ---------------------------------------------------------------------------
 
 def test_arcsine_pdf_values():
-    assert arcsine_pdf(0.5) == pytest.approx(2.0 / math.pi, abs=1e-15)
+    assert ARCSINE.pdf(0.5) == pytest.approx(2.0 / math.pi, abs=1e-15)
     # hand evaluation: 1/(pi sqrt(3)/4) = 4/(pi sqrt(3))
-    assert arcsine_pdf(0.25) == pytest.approx(0.7351051938957228, abs=1e-12)
+    assert ARCSINE.pdf(0.25) == pytest.approx(0.7351051938957228, abs=1e-12)
 
 
 def test_arcsine_pdf_endpoint_domain():
     for z in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ParameterDomainError):
-            arcsine_pdf(z)
+            ARCSINE.pdf(z)
 
 
 def test_arcsine_cdf_values():
-    assert arcsine_cdf(0.5) == pytest.approx(0.5, abs=1e-15)
-    assert arcsine_cdf(1.0) == 1.0
-    assert arcsine_cdf(0.0) == 0.0
-    assert arcsine_cdf(0.25) == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert ARCSINE.cdf(0.5) == pytest.approx(0.5, abs=1e-15)
+    assert ARCSINE.cdf(1.0) == 1.0
+    assert ARCSINE.cdf(0.0) == 0.0
+    assert ARCSINE.cdf(0.25) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +88,7 @@ def test_ratio_power_cdf_keeps_its_precision_as_mu_vanishes(mu):
     if mu <= 1e-6:
         # Lamperti's law tends to Bernoulli(p): P(A <= 1/2) -> 1 - p
         assert ratio_power_cdf(3.0, mu) == pytest.approx(0.75, abs=1e-10)
-        assert lamperti_cdf(0.5, mu, 0.2) == pytest.approx(0.8, abs=1e-10)
+        assert LawSpec("lamperti", mu, 0.2).cdf(0.5) == pytest.approx(0.8, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +96,7 @@ def test_ratio_power_cdf_keeps_its_precision_as_mu_vanishes(mu):
 # ---------------------------------------------------------------------------
 
 def test_ratio_A_reduces_to_arcsine_at_half():
-    gap = np.abs(LawSpec.ratio_a(0.5).pdf(GRID) - arcsine_pdf(GRID))
+    gap = np.abs(LawSpec.ratio_a(0.5).pdf(GRID) - ARCSINE.pdf(GRID))
     assert gap.max() <= 1e-12
 
 
@@ -135,7 +133,7 @@ def test_ratio_A_cdf_values():
         assert law.cdf(0.5) == pytest.approx(0.5, abs=1e-12)
         assert law.cdf(0.0) == 0.0
         assert law.cdf(1.0) == 1.0
-    gap = np.abs(LawSpec.ratio_a(0.5).cdf(GRID) - arcsine_cdf(GRID))
+    gap = np.abs(LawSpec.ratio_a(0.5).cdf(GRID) - ARCSINE.cdf(GRID))
     assert gap.max() <= 1e-10
 
 
@@ -155,8 +153,8 @@ def test_other_cdf_derivatives_match_pdfs():
     for z in np.linspace(0.05, 0.95, 13):
         fd = (spider.cdf(z + h) - spider.cdf(z - h)) / (2 * h)
         assert fd == pytest.approx(spider.pdf(z), abs=1e-4)
-        fd = (arcsine_cdf(z + h) - arcsine_cdf(z - h)) / (2 * h)
-        assert fd == pytest.approx(arcsine_pdf(z), abs=1e-4)
+        fd = (ARCSINE.cdf(z + h) - ARCSINE.cdf(z - h)) / (2 * h)
+        assert fd == pytest.approx(ARCSINE.pdf(z), abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,7 @@ def test_other_cdf_derivatives_match_pdfs():
 # ---------------------------------------------------------------------------
 
 def test_spider_pdf_reduces_to_arcsine_for_two_rays():
-    gap = np.abs(LawSpec.spider(2).pdf(GRID) - arcsine_pdf(GRID))
+    gap = np.abs(LawSpec.spider(2).pdf(GRID) - ARCSINE.pdf(GRID))
     assert gap.max() <= 1e-12
 
 
@@ -186,7 +184,7 @@ def test_spider_mean_is_one_over_n(n):
 
 def test_spider_cdf_reduces_and_matches_quadrature():
     assert LawSpec.spider(2).cdf(0.5) == pytest.approx(0.5, abs=1e-14)
-    gap = np.abs(LawSpec.spider(2).cdf(GRID) - arcsine_cdf(GRID))
+    gap = np.abs(LawSpec.spider(2).cdf(GRID) - ARCSINE.cdf(GRID))
     assert gap.max() <= 1e-10
     for n in (3, 5):
         law = LawSpec.spider(n)

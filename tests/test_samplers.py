@@ -9,11 +9,9 @@ from spiderlaw import (
     LawSpec,
     ParameterDomainError,
     RngStream,
-    arcsine_cdf,
     ks_one_sample,
     ks_two_sample,
     ratio_power_cdf,
-    sample_lamperti,
     sample_occupation_exact,
     sample_positive_stable,
     sample_ratio_X,
@@ -143,8 +141,11 @@ def test_ratio_A_mean_and_support():
 
 
 def test_ratio_A_is_arcsine_at_half():
+    # the two-ray spider marginal is the same point, drawn by the same kernel
+    ratio, spider = LawSpec.ratio_a(0.5), LawSpec.spider(2)
+    assert (ratio.mu, ratio.p) == (spider.mu, spider.p)
     a = _ratio_a(0.5, RngStream(61, 1), 100_000)
-    assert ks_one_sample(a, arcsine_cdf, seed=61).passed
+    assert ks_one_sample(a, LawSpec.arcsine().cdf, seed=61).passed
 
 
 @pytest.mark.parametrize("mu", [0.05, 0.1])
@@ -196,7 +197,7 @@ def test_ratio_power_matches_closed_form_at_tiny_mu(seed):
 def test_lamperti_at_half_is_ratio_A_bitwise():
     for mu in (0.005, 0.3, 0.7):
         a = _ratio_a(mu, RngStream(17, 0), 10_000)
-        b = sample_lamperti(mu, 0.5, RngStream(17, 0), 10_000)
+        b = LawSpec("lamperti", mu, 0.5).sample(RngStream(17, 0), 10_000)
         assert np.array_equal(a, b)
 
 
@@ -216,7 +217,7 @@ def test_occupation_exact_simplex():
 
 def test_occupation_exact_two_rays_is_arcsine():
     rows = sample_occupation_exact(2, RngStream(71, 3), 100_000)
-    assert ks_one_sample(rows[:, 0], arcsine_cdf, seed=71).passed
+    assert ks_one_sample(rows[:, 0], LawSpec.arcsine().cdf, seed=71).passed
 
 
 def test_occupation_exact_exchangeable():
@@ -231,11 +232,6 @@ def test_cauchy_marginal_matches_occupation_coordinate():
         assert ((m > 0) & (m <= 1)).all()
         occ = sample_occupation_exact(n, RngStream(81, 2 * i + 1), 100_000)[:, 0]
         assert ks_two_sample(m, occ, seed=81).passed
-
-
-def test_cauchy_marginal_two_rays_is_arcsine():
-    m = LawSpec.spider(2).sample(RngStream(81, 10), 100_000)
-    assert ks_one_sample(m, arcsine_cdf, seed=81).passed
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +298,12 @@ def test_samplers_require_a_size():
         LawSpec.ratio_a(0.5).sample(RngStream(0))
     with pytest.raises(TypeError):
         sample_occupation_exact(3, RngStream(0))
+
+
+def test_a_size_must_be_an_integer():
+    assert _clean(lambda k: np.full(k, 2.5), np.isfinite, 5.0, None).size == 5
+    with pytest.raises(ParameterDomainError, match="integer"):
+        LawSpec.arcsine().sample(RngStream(0), 5.5)
 
 
 def test_save_sample_batch_roundtrip(tmp_path):

@@ -147,3 +147,16 @@ def test_the_occupation_outputs_keep_the_benchmark_contract(monkeypatch, tmp_pat
                          env=env, check=True, capture_output=True, text=True).stdout
     spans = json.loads(out.splitlines()[-1])
     assert [span["rows"] for span in spans] == [rows]
+
+
+def test_the_verify_outputs_keep_the_benchmark_contract(monkeypatch, tmp_path, capsys):
+    # perfbench/checks.py reads verify's JSONL reports, its stdout summary and
+    # its exit code; the densities suite writes all three in well under a second
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import checks
+
+    code = main(["verify", "--suite", "densities", "--seed", "1",
+                 "--out", str(tmp_path / "reports.jsonl")])
+    results, reports = checks.read_reports(tmp_path, capsys.readouterr().out, code, 1)
+    assert reports and code == 0
+    assert not [(name, detail) for name, ok, detail in results.results if not ok]

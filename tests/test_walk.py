@@ -2,7 +2,7 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from spiderlaw import (
     SpiderConfig,
     StoppingRule,
     UsageError,
-    arcsine_cdf,
     composite_stream_id,
     ks_one_sample,
     ks_two_sample,
@@ -75,6 +74,24 @@ def test_stopping_rule_validation():
         for too_far in (level, 1e6):  # level: a horizon of 2**53 steps
             with pytest.raises(ParameterDomainError, match="2\\*\\*53"):
                 make(too_far).validate_for(huge)
+
+
+def test_integer_valued_floats_are_kept_as_ints(tmp_path):
+    # 3.0 passes as a ray count; config and rule store it as the int 3, so a
+    # float config runs and writes exactly what the int config does
+    ints = SpiderConfig(n=3, steps=1000, paths=10, seed=1)
+    floats = SpiderConfig(n=3.0, steps=1000.0, paths=10.0, seed=1.0)
+    rule = StoppingRule.inverse_occupation(0.5, ray=2.0)
+    assert [type(v) for v in (*astuple(floats), rule.ray)] == [int] * 5
+    outputs = []
+    for name, config in (("ints", ints), ("floats", floats)):
+        paths = (tmp_path / f"{name}.csv", tmp_path / f"{name}.run.json")
+        batch = run_walk_batch(config, rule, *paths, record_wall_time=False)
+        outputs.append([batch.counts, batch.stopped_step, batch.zero_visits,
+                        batch.last_zero_step, batch.discarded]
+                       + [path.read_bytes() for path in paths])
+    for a, b in zip(*outputs):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +286,7 @@ def test_ray_relabelling_leaves_marginals_unchanged():
 def test_two_ray_occupation_close_to_arcsine():
     config = SpiderConfig(n=2, steps=5000, paths=2000, seed=37)
     batch = stop_batch(config, StoppingRule.fixed_time())
-    report = ks_one_sample(batch.fractions[:, 0], arcsine_cdf, seed=37,
+    report = ks_one_sample(batch.fractions[:, 0], LawSpec.arcsine().cdf, seed=37,
                            threshold=0.05, rule="stat_max")
     assert report.passed, report.statistic
 
