@@ -4,8 +4,9 @@
 masked entry being an empty field.  Each block of about ``_BLOCK_CELLS``
 fields becomes one NUL-padded ``uint8`` matrix, a row per table row with
 the separators in place, and the matrix without its NULs is the block's
-text.  :func:`field_bytes` gives a column's part of it: one NUL-padded row
-per value.  A float field is ``repr`` of the value: its shortest round-trip
+text; the table is the list of its blocks' texts, which a writer passes to
+``writelines`` as they are.  :func:`field_bytes` gives a column's part of a
+block: one NUL-padded row per value.  A float field is ``repr`` of the value: its shortest round-trip
 digits, in fixed notation when the decimal point falls -3 to 16 places from
 the first digit (``0.0001``, ``1234.5``, and ``9999999999999998.0`` is the
 last) and otherwise as ``d.ddde±XX`` (``1e-05``, ``1e+16``).  An int field
@@ -299,12 +300,13 @@ def field_bytes(values) -> np.ndarray:
     raise TypeError(f"no CSV field for dtype {values.dtype}")
 
 
-def csv_rows(columns) -> bytes:
-    """Rows of equal-length columns as CSV bytes, a block of about
-    ``_BLOCK_CELLS`` fields at a time, which keeps numpy's temporaries small."""
+def csv_rows(columns) -> list:
+    """Rows of equal-length columns as CSV, a block of about ``_BLOCK_CELLS``
+    fields at a time, which keeps numpy's temporaries small: the list of the
+    blocks' bytes, in order, never joined into one copy."""
     step = max(1, _BLOCK_CELLS // len(columns))
-    return b"".join(_block_rows([column[lo:lo + step] for column in columns])
-                    for lo in range(0, len(columns[0]), step))
+    return [_block_rows([column[lo:lo + step] for column in columns])
+            for lo in range(0, len(columns[0]), step)]
 
 
 def _block_rows(columns) -> bytes:

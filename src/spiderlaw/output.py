@@ -11,21 +11,27 @@ chunks of ``_CHUNK_ROWS`` rows, chunk k being the columns a pure function of
 k returns: an in-memory table slices its columns (:func:`sliced`), and a
 sample draws the chunk's rows from the chunk's own stream
 (``samplers.ChunkedSample``), so the chunk size is also part of a sample's
-stream layout.  Each chunk is made and formatted as one task on the
-process's usable CPUs (``parallel.ordered_map``), its bytes sent back and
-written in order as they arrive, so no more than a few chunks are held at a
-time and the bytes do not depend on the CPU count.  JSON is indented by two,
-with sorted keys and a final newline.
+stream layout.  Each chunk is made, formatted and written as one task on the
+process's usable CPUs (``parallel.ordered_map``): the process that formats a
+chunk writes its bytes at the chunk's offset, which a table of chunk offsets
+in shared memory hands on from chunk to chunk.  So no table bytes cross a
+pipe, a worker holds one chunk at a time, and the bytes do not depend on the
+CPU count.  JSON is indented by two, with sorted keys and a final newline.
 """
 from __future__ import annotations
 
 import json
+import mmap
+import time
 from pathlib import Path
+
+import numpy as np
 
 from .errors import UsageError
 from .parallel import ordered_map
 
 _CHUNK_ROWS = 1 << 14  # rows per chunk: one formatting task, one sample stream
+_WAIT_S = 2e-4  # poll interval of a chunk waiting for its offset
 
 
 def sliced(columns):
@@ -45,22 +51,40 @@ def write_csv(path, header, rows, chunk) -> int:
     for rows ``k * _CHUNK_ROWS`` up to ``(k + 1) * _CHUNK_ROWS``, and a count
     the chunk made, such as a sample's redraws.  It must be a pure function of
     k.  Returns the sum of the tallies.
+
+    The caller writes the header; each task then formats chunk k, waits until
+    entry k of a shared table of chunk offsets is set (entry 0 is the header's
+    length, and 0 means not known yet), sets entry k + 1 to its own end,
+    and writes its bytes at its offset through its own handle.  Chunk k + 1
+    so waits for chunk k to be formatted, not written.  Run serially, the
+    tasks take the same path and never wait.  Only the tallies come back.
     """
     # imported, and its tables built, by the first table written rather than
     # by the package, and before the workers fork, so they inherit both
     from .fields import csv_rows
 
+    path = str(path)
+    count = -(-rows // _CHUNK_ROWS)
+    head = (",".join(header) + "\r\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(head)
+    # anonymous and shared, so a forked worker sets the entries the others read
+    starts = np.frombuffer(mmap.mmap(-1, 8 * (count + 1)), np.int64)
+    starts[0] = len(head)
+
     def task(k):
         columns, tally = chunk(k)
-        return csv_rows(columns), tally
+        blocks = csv_rows(columns)
+        while not starts[k]:
+            time.sleep(_WAIT_S)
+        start = int(starts[k])
+        starts[k + 1] = start + sum(map(len, blocks))
+        with open(path, "r+b") as fh:
+            fh.seek(start)
+            fh.writelines(blocks)
+        return tally
 
-    total = 0
-    with open(str(path), "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for data, tally in ordered_map(task, -(-rows // _CHUNK_ROWS)):
-            fh.write(data)
-            total += tally
-    return total
+    return sum(ordered_map(task, count))
 
 
 def write_json(path, payload):

@@ -55,12 +55,16 @@ class BatchMeta:
 _MAX_REDRAW_ROUNDS = 64
 
 
-def _clean(draw, ok, size, meta: BatchMeta | None):
-    """Draw ``size`` values, redrawing entries rejected by ``ok``."""
+def _sample_size(size) -> int:
     n = int(size)
     if n != size or n < 0:
         raise ParameterDomainError(f"sample size must be a nonnegative integer: {size}")
-    values = draw(n)
+    return n
+
+
+def _clean(draw, ok, size, meta: BatchMeta | None):
+    """Draw ``size`` values, redrawing entries rejected by ``ok``."""
+    values = draw(_sample_size(size))
     bad = ~ok(values)
     rounds = 0
     while np.any(bad):
@@ -160,8 +164,8 @@ def sample_occupation_exact(n: int, rng: RngStream, size,
                             meta: BatchMeta | None = None):
     """Occupation-fraction vectors: rows of n iid stable(1/2) draws,
     normalised, as an array of shape (size, n) whose rows each sum to 1."""
-    n = _validate_rays(n)
-    t = sample_stable_half(rng, int(size) * n, meta).reshape(int(size), n)
+    n, size = _validate_rays(n), _sample_size(size)
+    t = sample_stable_half(rng, size * n, meta).reshape(size, n)
     return t / t.sum(axis=1, keepdims=True)
 
 

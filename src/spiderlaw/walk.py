@@ -109,6 +109,7 @@ class StoppingRule:
             raise ParameterDomainError(f"unknown stopping rule: {self.kind!r}")
         if not (math.isfinite(self.level) and self.level > 0):
             raise ParameterDomainError(f"level must be strictly positive: {self.level}")
+        object.__setattr__(self, "level", float(self.level))  # 1 and 1.0 are one rule
         if self.kind == "inverse_occupation":
             if self.ray is None or int(self.ray) != self.ray or self.ray < 1:
                 raise ParameterDomainError(f"need a 1-based ray index, got {self.ray}")

@@ -230,6 +230,72 @@ def test_csv_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path, write):
         assert b",,,,,,true\r\n" in tables[1]
 
 
+def test_a_chunk_formatted_first_waits_for_its_offset(monkeypatch, tmp_path):
+    # chunk 0 is made 0.2 s late, so chunk 1 is formatted first and must wait
+    # for chunk 0's end before it writes
+    monkeypatch.setattr(output, "_CHUNK_ROWS", 64)
+    sizes = _pool_sizes(monkeypatch)
+    rng = np.random.default_rng(5)
+    rows = output.sliced([np.arange(ROWS), rng.standard_normal(ROWS)])
+
+    def chunk(k):
+        if k == 0:
+            time.sleep(0.2)
+        return rows(k)
+
+    tables = {}
+    for cpus in CPUS:
+        _use_cpus(monkeypatch, cpus)
+        with _deadline(60):
+            output.write_csv(tmp_path / f"{cpus}.csv", ["i", "x"], ROWS, chunk)
+        tables[cpus] = (tmp_path / f"{cpus}.csv").read_bytes()
+    assert sizes == [2, 8]
+    assert tables[2] == tables[1] and tables[64] == tables[1]
+    assert tables[1].count(b"\r\n") == ROWS + 1
+
+
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_a_failed_chunk_reaches_the_caller(monkeypatch, tmp_path, cpus):
+    # the chunks after chunk 1 wait for an offset that is never set; the
+    # error still comes back, and no worker is left waiting
+    monkeypatch.setattr(output, "_CHUNK_ROWS", 64)
+    _use_cpus(monkeypatch, cpus)
+    sizes = _pool_sizes(monkeypatch)
+    rows = output.sliced([np.arange(ROWS)])
+
+    def chunk(k):
+        if k == 1:
+            raise TaskFailed(f"chunk {k}")
+        return rows(k)
+
+    with _deadline(30), pytest.raises(TaskFailed, match="chunk 1"):
+        output.write_csv(tmp_path / "t.csv", ["i"], ROWS, chunk)
+    assert sizes == [min(cpus, 8)]
+    assert not multiprocessing.active_children()
+
+
+def test_only_tallies_come_back_from_the_chunk_tasks(monkeypatch, tmp_path):
+    # each worker writes the bytes it formats; the caller gets a chunk's
+    # redraw count and nothing else.  Rejecting stable(1/2) draws above 10
+    # forces redraws in every chunk.
+    monkeypatch.setattr(output, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(samplers, "_finite_positive",
+                        lambda v: np.isfinite(v) & (v > 0.0) & (v < 10.0))
+    _use_cpus(monkeypatch, 2)
+    yielded = []
+
+    def recording_map(fn, count):
+        for value in ordered_map(fn, count):
+            yielded.append(value)
+            yield value
+
+    monkeypatch.setattr(output, "ordered_map", recording_map)
+    sidecar = _drawn_table(tmp_path / "t.csv", law="stable-half", seed=3)
+    assert len(yielded) == -(-ROWS // 64)
+    assert all(type(value) is int for value in yielded)
+    assert sum(yielded) == sidecar["redraw_count"] > 0
+
+
 # ---------------------------------------------------------------------------
 # sample: chunk c is drawn from stream (seed, (_SAMPLE_RUN_ID, c))
 # ---------------------------------------------------------------------------

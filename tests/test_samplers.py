@@ -304,6 +304,10 @@ def test_a_size_must_be_an_integer():
     assert _clean(lambda k: np.full(k, 2.5), np.isfinite, 5.0, None).size == 5
     with pytest.raises(ParameterDomainError, match="integer"):
         LawSpec.arcsine().sample(RngStream(0), 5.5)
+    # the occupation sampler checks the row count before it multiplies by n
+    assert sample_occupation_exact(3, RngStream(1), 5.0).shape == (5, 3)
+    with pytest.raises(ParameterDomainError, match="integer: 5.5"):
+        sample_occupation_exact(3, RngStream(1), 5.5)
 
 
 def test_save_sample_batch_roundtrip(tmp_path):

@@ -94,6 +94,20 @@ def test_integer_valued_floats_are_kept_as_ints(tmp_path):
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
+def test_an_int_level_is_kept_as_the_float_it_equals(tmp_path):
+    # inverse_local_time(1) and (1.0) are one rule, so they write one manifest
+    config = SpiderConfig(n=3, steps=1000, paths=10, seed=1)
+    written = []
+    for name, level in (("int", 1), ("float", 1.0)):
+        paths = (tmp_path / f"{name}.csv", tmp_path / f"{name}.run.json")
+        run_walk_batch(config, StoppingRule.inverse_local_time(level), *paths,
+                       record_wall_time=False)
+        written.append([path.read_bytes() for path in paths])
+    assert written[0] == written[1]
+    assert b'"level": 1.0' in written[0][1]
+    assert type(StoppingRule.inverse_local_time(1).level) is float
+
+
 # ---------------------------------------------------------------------------
 # determinism and engine identities
 # ---------------------------------------------------------------------------
