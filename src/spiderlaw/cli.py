@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .errors import ParameterDomainError, UsageError
+from .errors import ParameterDomainError, UsageError, integer
 from .figures import render_curves_svg, write_curve_csv
 from .gof import summary_table, write_reports_jsonl
 from .laws import LawSpec, build_density_curve
@@ -77,9 +77,7 @@ def _resolve_seed(value) -> int:
             value = int(env)
         except ValueError as exc:
             raise UsageError(f"SPIDER_SEED is not an integer: {env!r}") from exc
-    if not 0 <= value < 1 << 64:
-        raise UsageError(f"seed must be in [0, 2**64): {value}")
-    return value
+    return integer(value, "seed", 0, 1 << 64)
 
 
 def _parse_list(text, kind) -> list:
@@ -159,8 +157,7 @@ def cmd_sample(args) -> int:
         empty = draw(RngStream(seed), 0, BatchMeta(), **parameters)
         values = ChunkedSample(functools.partial(draw, **parameters), count, seed,
                                width=empty.shape[1] if empty.ndim == 2 else 1)
-        sidecar = save_sample_batch(csv_path, values, args.law.replace("-", "_"),
-                                    parameters, seed)
+        sidecar = save_sample_batch(csv_path, values, args.law.replace("-", "_"), parameters)
         manifest.outputs += [str(csv_path), sidecar]
     manifest.finish(manifest_path, args.deterministic)
     return 0

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two input checks that
+raise :class:`ParameterDomainError`: :func:`integer` for every count, size,
+ray, seed and stream id, and :func:`real` for every open-interval parameter.
+"""
 
 
 class ParameterDomainError(ValueError):
@@ -20,3 +23,27 @@ class NonFiniteSamplesError(RuntimeError):
     def __reduce__(self):
         # rebuild from the fields, so a worker's error unpickles in its caller
         return type(self), (self.count, self.total)
+
+
+def integer(value, name, low, high=None) -> int:
+    """``value`` as an int in [low, high); an integer-valued float passes,
+    and a fraction, NaN, an infinity, None or a string does not."""
+    try:
+        n = int(value)
+        if n == value and low <= n and (high is None or n < high):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    big = high is not None and high >= 1 << 32 and high & (high - 1) == 0
+    top = f"2**{high.bit_length() - 1}" if big else "inf" if high is None else high
+    raise ParameterDomainError(f"{name} must be in [{low}, {top}) and an integer: {value}")
+
+
+def real(value, name, low, high) -> float:
+    """``value`` as a float in the open interval (low, high)."""
+    try:
+        if low < float(value) < high:  # NaN fails too
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ParameterDomainError(f"{name} must lie in ({low}, {high}): {value}")

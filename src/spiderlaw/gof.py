@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import output
-from .errors import NonFiniteSamplesError, UsageError
-from .laws import LawSpec, ratio_power_cdf
+from .errors import NonFiniteSamplesError, UsageError, integer
+from .laws import LawSpec, _validate_rays, ratio_power_cdf
 from .rng import RngStream, composite_stream_id
 from .samplers import sample_occupation_exact
 from .walk import (
@@ -226,12 +226,10 @@ def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
     ``threshold``, a budget for lattice bias plus sampling noise at these
     sizes.
     """
-    if int(n) != n or n < 2:
-        raise UsageError(f"the occupation identity needs n >= 2 rays: {n}")
-    n = int(n)
-    config = SpiderConfig(n=n, steps=int(steps), paths=int(paths), seed=int(seed))
+    n = _validate_rays(n)
+    config = SpiderConfig(n=n, steps=steps, paths=paths, seed=seed)
 
-    exact_rng = RngStream(seed, composite_stream_id(_RUN_EXACT, 0))
+    exact_rng = RngStream(config.seed, composite_stream_id(_RUN_EXACT, 0))
     vectors = {"exact": sample_occupation_exact(n, exact_rng, size=config.paths)}
     rules = {
         "fixed_time": (StoppingRule.fixed_time(1.0), _RUN_FIXED),
@@ -265,14 +263,14 @@ def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
                     ks_two_sample(
                         pools[la], pools[lb],
                         name=f"occupation_identity[n={n},{probe_name}]:{la}~{lb}",
-                        seed=seed, threshold=threshold, rule="stat_max",
+                        seed=config.seed, threshold=threshold, rule="stat_max",
                     )
                 )
     reports.append(
         ks_one_sample(
             vectors["fixed_time"][:, 0], LawSpec.spider(n).cdf,
             name=f"occupation_identity[n={n},coord1]:fixed_time~closed_form",
-            seed=seed, threshold=threshold, rule="stat_max",
+            seed=config.seed, threshold=threshold, rule="stat_max",
         )
     )
     return reports
@@ -290,11 +288,8 @@ def cauchy_square_convergence(n_values, grid_size=1000):
     n^2, where the gap (2/pi) arctan(1/n) is attained.
     """
     points = []
-    base = np.logspace(-4.0, 6.0, int(grid_size))
-    for n in n_values:
-        if int(n) != n or n < 2:
-            raise UsageError(f"ray counts must be integers >= 2: {n}")
-        n = int(n)
+    base = np.logspace(-4.0, 6.0, integer(grid_size, "grid size", 1))
+    for n in map(_validate_rays, n_values):
         grid = np.sort(np.append(base, float(n * n)))
         # P(n^2 A1 <= x) on (0, n^2], and P(C^2 <= x) = P(|C| <= sqrt(x)), the
         # ratio-power law at mu = 1/2

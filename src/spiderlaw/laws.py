@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError, UsageError
+from .errors import ParameterDomainError, UsageError, integer, real
 from .quadrature import integrate_half_line
 
 
@@ -42,16 +42,11 @@ _TINY = np.finfo(float).tiny
 
 
 def _validate_mu(mu):
-    mu = float(mu)
-    if not 0.0 < mu < 1.0:
-        raise ParameterDomainError(f"stable exponent must lie in (0, 1): {mu}")
-    return mu
+    return real(mu, "stable exponent", 0, 1)
 
 
 def _validate_rays(n):
-    if int(n) != n or int(n) < 2:
-        raise ParameterDomainError(f"ray count must be an integer >= 2: {n}")
-    return int(n)
+    return integer(n, "ray count", 2)
 
 
 def _as_array(x, name, low, high, *, open_low=False, open_high=False):
@@ -212,10 +207,7 @@ def fractional_moment(s, mu):
     is good to a few ulps of lgamma(1 - s), the order to which rounding
     1 - mu s alone already moves the value, and a moment beyond the float
     range is inf."""
-    mu = _validate_mu(mu)
-    s = float(s)
-    if not -math.inf < s < 1.0:
-        raise ParameterDomainError(f"moment order must be finite with s < 1: {s}")
+    mu, s = _validate_mu(mu), real(s, "moment order s", -math.inf, 1)
     try:
         return math.gamma(1.0 - s) / math.gamma(1.0 - mu * s)
     except OverflowError:
@@ -244,10 +236,7 @@ class LawSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", _validate_mu(self.mu))
-        p = float(self.p)
-        if not 0.0 < p < 1.0:
-            raise ParameterDomainError(f"Lamperti weight p must lie in (0, 1): {p}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", real(self.p, "Lamperti weight p", 0, 1))
 
     @classmethod
     def arcsine(cls) -> LawSpec:
@@ -256,7 +245,8 @@ class LawSpec:
     @classmethod
     def ratio_a(cls, mu) -> LawSpec:
         """A = S'/(S'+S), the point (mu, 1/2)."""
-        return cls("ratio_a", mu, 0.5, (("mu", float(mu)),))
+        mu = _validate_mu(mu)
+        return cls("ratio_a", mu, 0.5, (("mu", mu),))
 
     @classmethod
     def spider(cls, n) -> LawSpec:
@@ -329,9 +319,8 @@ class _ArcSine(LawSpec):
     def sample(self, rng, size, meta=None):
         """cos(U)^2 with U uniform on [0, 2 pi): a float in [0, 1] every time,
         so nothing is redrawn."""
-        from .samplers import _clean
-        return _clean(lambda k: np.cos(rng.generator.uniform(0.0, 2.0 * np.pi, k)) ** 2,
-                      np.isfinite, size, meta)
+        u = rng.generator.uniform(0.0, 2.0 * np.pi, integer(size, "sample size", 0))
+        return np.cos(u) ** 2
 
 
 def integrate_density(law: LawSpec, a: float, b: float) -> float:
@@ -398,9 +387,7 @@ class DensityCurve:
 
 def build_density_curve(law: LawSpec, interior_points: int = 999) -> DensityCurve:
     """Tabulate the law on the equispaced interior grid k/(m+1)."""
-    if interior_points < 3:
-        raise ParameterDomainError(f"need at least 3 interior points: {interior_points}")
-    m = int(interior_points)
+    m = integer(interior_points, "interior points", 3)
     grid = np.arange(0, m + 2, dtype=float) / (m + 1)
     pdf = np.zeros(m + 2)
     pdf[1:-1] = law.pdf(grid[1:-1])

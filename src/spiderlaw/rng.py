@@ -6,7 +6,9 @@ that builds that key.  Samplers and verification suites draw from
 ``RngStream.generator``, which starts at counter block 0; walk paths re-key
 one shared generator per path and round, with the round as the block (see
 :mod:`spiderlaw.walk`).  Identical keys reproduce identical sequences bit
-for bit, and distinct keys yield statistically independent streams.
+for bit, and distinct keys yield statistically independent streams.  A seed,
+stream id, run or path index that is not an integer in its range raises
+:class:`~spiderlaw.errors.ParameterDomainError` (:func:`~spiderlaw.errors.integer`).
 
 :func:`composite_stream_id` packs a run index (high 32 bits) and a path index
 (low 32 bits) into one stream id.  Walk paths and ``RngStream`` share that
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import integer
 
 _U64 = 1 << 64
 _U32 = 1 << 32
@@ -43,11 +45,7 @@ def philox_state(seed: int, stream_id: int, block: int = 0) -> dict:
 
 def composite_stream_id(run_id: int, index: int) -> int:
     """Pack a (run, path) pair into one 64-bit stream id."""
-    if not 0 <= run_id < _U32:
-        raise ParameterDomainError(f"run_id out of range: {run_id}")
-    if not 0 <= index < _U32:
-        raise ParameterDomainError(f"index out of range: {index}")
-    return (run_id << 32) | index
+    return (integer(run_id, "run_id", 0, _U32) << 32) | integer(index, "index", 0, _U32)
 
 
 @dataclass
@@ -66,14 +64,8 @@ class RngStream:
     )
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < _U64:
-            raise ParameterDomainError(f"seed must be a 64-bit unsigned int: {self.seed}")
-        if not 0 <= int(self.stream_id) < _U64:
-            raise ParameterDomainError(
-                f"stream_id must be a 64-bit unsigned int: {self.stream_id}"
-            )
-        self.seed = int(self.seed)
-        self.stream_id = int(self.stream_id)
+        self.seed = integer(self.seed, "seed", 0, _U64)
+        self.stream_id = integer(self.stream_id, "stream_id", 0, _U64)
 
     @property
     def generator(self) -> np.random.Generator:

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import output
-from .errors import ParameterDomainError
+from .errors import integer
 from .laws import _validate_mu, _validate_rays
 from .output import sidecar_path, write_csv, write_json
 from .rng import RngStream, composite_stream_id
@@ -55,16 +55,9 @@ class BatchMeta:
 _MAX_REDRAW_ROUNDS = 64
 
 
-def _sample_size(size) -> int:
-    n = int(size)
-    if n != size or n < 0:
-        raise ParameterDomainError(f"sample size must be a nonnegative integer: {size}")
-    return n
-
-
 def _clean(draw, ok, size, meta: BatchMeta | None):
     """Draw ``size`` values, redrawing entries rejected by ``ok``."""
-    values = draw(_sample_size(size))
+    values = draw(integer(size, "sample size", 0))
     bad = ~ok(values)
     rounds = 0
     while np.any(bad):
@@ -164,7 +157,7 @@ def sample_occupation_exact(n: int, rng: RngStream, size,
                             meta: BatchMeta | None = None):
     """Occupation-fraction vectors: rows of n iid stable(1/2) draws,
     normalised, as an array of shape (size, n) whose rows each sum to 1."""
-    n, size = _validate_rays(n), _sample_size(size)
+    n, size = _validate_rays(n), integer(size, "sample size", 0)
     t = sample_stable_half(rng, size * n, meta).reshape(size, n)
     return t / t.sum(axis=1, keepdims=True)
 
@@ -211,15 +204,15 @@ class ChunkedSample:
         return rows.reshape(-1, self.width).T, meta.redraws
 
 
-def save_sample_batch(csv_path, values: ChunkedSample, law: str, parameters: dict,
-                      seed: int):
+def save_sample_batch(csv_path, values: ChunkedSample, law: str, parameters: dict):
     """Write samples as CSV plus a JSON sidecar describing the batch.
 
     The chunks of ``values`` are drawn and formatted one task each, so the
     sample is never held whole.  One column per coordinate; the header
     carries the law name and its parameters so the CSV is self-describing.
-    The sidecar's ``redraw_count`` is the sum of every chunk's redraws, and
-    ``stream_count`` the number of chunk streams.
+    The sidecar's ``seed`` is the one the chunks are drawn from, its
+    ``redraw_count`` the sum of every chunk's redraws, and ``stream_count``
+    the number of chunk streams.
     """
     suffix = "".join(f"_{k}{v:g}" for k, v in sorted(parameters.items()))
     if values.width == 1:
@@ -231,7 +224,7 @@ def save_sample_batch(csv_path, values: ChunkedSample, law: str, parameters: dic
     write_json(sidecar, {
         "law": law,
         "parameters": dict(parameters),
-        "seed": int(seed),
+        "seed": values.seed,
         "stream_count": values.chunks,
         "n_samples": len(values),
         "redraw_count": redraws,

@@ -44,7 +44,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, integer, real
 from .output import sliced, write_csv, write_json
 from .parallel import ordered_map
 from .rng import composite_stream_id, philox_state
@@ -71,19 +71,12 @@ class SpiderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n) != self.n or not 1 <= self.n <= _MAX_RAYS:
-            raise ParameterDomainError(
-                f"ray count must be an integer in [1, {_MAX_RAYS}]: {self.n}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise ParameterDomainError(f"steps must be a positive integer: {self.steps}")
-        if self.steps >= _EXACT_STEPS:
-            raise ParameterDomainError(f"steps must be below 2**53: {self.steps}")
-        if int(self.paths) != self.paths or self.paths < 1:
-            raise ParameterDomainError(f"paths must be a positive integer: {self.paths}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 1 << 64:
-            raise ParameterDomainError(f"seed must be a 64-bit unsigned int: {self.seed}")
-        for name in ("n", "steps", "paths", "seed"):  # an integer-valued float passes; keep the int
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, label, low, high in (("n", "ray count", 1, _MAX_RAYS + 1),
+                                       ("steps", "steps", 1, _EXACT_STEPS),
+                                       ("paths", "paths", 1, None),
+                                       ("seed", "seed", 0, 1 << 64)):
+            # an integer-valued float passes; keep the int
+            object.__setattr__(self, name, integer(getattr(self, name), label, low, high))
 
 
 _RULE_KINDS = ("fixed_time", "inverse_occupation", "inverse_local_time")
@@ -107,13 +100,10 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in _RULE_KINDS:
             raise ParameterDomainError(f"unknown stopping rule: {self.kind!r}")
-        if not (math.isfinite(self.level) and self.level > 0):
-            raise ParameterDomainError(f"level must be strictly positive: {self.level}")
-        object.__setattr__(self, "level", float(self.level))  # 1 and 1.0 are one rule
+        # 1 and 1.0 are one rule
+        object.__setattr__(self, "level", real(self.level, "level", 0, math.inf))
         if self.kind == "inverse_occupation":
-            if self.ray is None or int(self.ray) != self.ray or self.ray < 1:
-                raise ParameterDomainError(f"need a 1-based ray index, got {self.ray}")
-            object.__setattr__(self, "ray", int(self.ray))
+            object.__setattr__(self, "ray", integer(self.ray, "ray index", 1))
         elif self.ray is not None:
             raise ParameterDomainError(f"{self.kind} takes no ray index")
 

@@ -11,14 +11,21 @@ from spiderlaw import (
     GofReport,
     LawSpec,
     NonFiniteSamplesError,
+    ParameterDomainError,
     RngStream,
+    SpiderConfig,
+    StoppingRule,
     UsageError,
+    build_density_curve,
     cauchy_square_convergence,
     composite_stream_id,
+    fractional_moment,
     kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
     mc_transform_check,
+    sample_occupation_exact,
+    sample_positive_stable,
     summary_table,
     verify_occupation_identity,
     write_reports_jsonl,
@@ -216,7 +223,7 @@ def test_report_serialisation(tmp_path):
 
 
 def test_verify_occupation_identity_validation():
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterDomainError):
         verify_occupation_identity(1)
 
 
@@ -289,10 +296,57 @@ def test_cauchy_square_convergence_is_deterministic():
     a = cauchy_square_convergence((2, 16))
     b = cauchy_square_convergence((2, 16))
     assert a == b
-    with pytest.raises(UsageError):
+    with pytest.raises(ParameterDomainError):
         cauchy_square_convergence((1,))
 
 
 def test_convergence_point_domain():
     with pytest.raises(UsageError):
         ConvergencePoint(4, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# input checks: every integer and open-interval input, across the package
+# ---------------------------------------------------------------------------
+
+_INTEGER_INPUTS = {
+    "SpiderConfig.n": lambda v: SpiderConfig(n=v, steps=1000),
+    "SpiderConfig.steps": lambda v: SpiderConfig(n=2, steps=v),
+    "SpiderConfig.paths": lambda v: SpiderConfig(n=2, steps=1000, paths=v),
+    "SpiderConfig.seed": lambda v: SpiderConfig(n=2, steps=1000, seed=v),
+    "StoppingRule.ray": lambda v: StoppingRule.inverse_occupation(0.5, ray=v),
+    "LawSpec.spider": LawSpec.spider,
+    "arcsine size": lambda v: LawSpec.arcsine().sample(RngStream(0), v),
+    "stable size": lambda v: sample_positive_stable(0.5, RngStream(0), v),
+    "occupation size": lambda v: sample_occupation_exact(3, RngStream(0), v),
+    "RngStream.seed": RngStream,
+    "RngStream.stream_id": lambda v: RngStream(0, v),
+    "composite_stream_id.run_id": lambda v: composite_stream_id(v, 0),
+    "composite_stream_id.index": lambda v: composite_stream_id(0, v),
+    "build_density_curve": lambda v: build_density_curve(LawSpec.arcsine(), v),
+    "convergence.n": lambda v: cauchy_square_convergence((v,)),
+    "convergence.grid_size": lambda v: cauchy_square_convergence((2,), grid_size=v),
+    "occupation_identity.n": verify_occupation_identity,
+    "occupation_identity.steps": lambda v: verify_occupation_identity(2, 100, v),
+    "occupation_identity.paths": lambda v: verify_occupation_identity(2, v, 1000),
+    "occupation_identity.seed": lambda v: verify_occupation_identity(2, 100, 1000, v),
+}
+_REAL_INPUTS = {
+    "LawSpec.ratio_a": LawSpec.ratio_a,
+    "LawSpec.p": lambda v: LawSpec("x", 0.5, v),
+    "sample_positive_stable.mu": lambda v: sample_positive_stable(v, RngStream(0), 1),
+    "StoppingRule.level": StoppingRule.inverse_local_time,
+    "fractional_moment.s": lambda v: fractional_moment(v, 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    [(site, v) for site in _INTEGER_INPUTS for v in (1.5, math.nan, math.inf, None)]
+    + [(site, v) for site in _REAL_INPUTS for v in (math.nan, math.inf, None, "a")])
+def test_an_input_outside_its_domain_is_refused(site, value):
+    # never truncated (1.5 as 1) and never a raw TypeError, ValueError or
+    # OverflowError from int() or float()
+    call = _INTEGER_INPUTS.get(site) or _REAL_INPUTS[site]
+    with pytest.raises(ParameterDomainError):
+        call(value)

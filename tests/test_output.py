@@ -49,7 +49,7 @@ def test_sample_batch_format(tmp_path):
     # enough rows to span several write chunks
     values = np.resize(FLOATS, (40_000, 2))
     path = tmp_path / "s.csv"
-    save_sample_batch(path, _fixed_sample(values, 2), "occupation", {"n": 2}, seed=0)
+    save_sample_batch(path, _fixed_sample(values, 2), "occupation", {"n": 2})
     rows = [["occupation_n2_ray1", "occupation_n2_ray2"]]
     rows += [[repr(float(x)) for x in row] for row in values]
     assert path.read_bytes() == _csv_writer_bytes(rows)
@@ -57,7 +57,7 @@ def test_sample_batch_format(tmp_path):
     assert np.array_equal(parsed, values)
 
     path = tmp_path / "one.csv"
-    save_sample_batch(path, _fixed_sample(np.array(FLOATS), 1), "arcsine", {}, seed=0)
+    save_sample_batch(path, _fixed_sample(np.array(FLOATS), 1), "arcsine", {})
     assert path.read_bytes() == _csv_writer_bytes(
         [["arcsine"]] + [[repr(x)] for x in FLOATS])
 

@@ -11,6 +11,8 @@ def test_same_key_same_sequence():
     a = RngStream(123, 7).generator.random(1000)
     b = RngStream(123, 7).generator.random(1000)
     assert np.array_equal(a, b)
+    # an integer-valued float key is the int key
+    assert np.array_equal(RngStream(123.0, 7.0).generator.random(1000), a)
 
 
 def test_distinct_streams_differ():
@@ -47,6 +49,7 @@ def test_composite_stream_id_packs_run_and_path():
     sid = composite_stream_id(3, 17)
     assert sid >> 32 == 3
     assert sid & 0xFFFFFFFF == 17
+    assert composite_stream_id(3.0, 17.0) == sid
     with pytest.raises(ParameterDomainError):
         composite_stream_id(-1, 0)
     with pytest.raises(ParameterDomainError):

@@ -314,14 +314,14 @@ def test_save_sample_batch_roundtrip(tmp_path):
     rows = sample_occupation_exact(3, RngStream(5, 0), 100)
     csv_path = tmp_path / "occ.csv"
     sample = ChunkedSample(lambda rng, size, meta: rows, 100, 5, width=3)
-    sidecar = save_sample_batch(csv_path, sample, "occupation", {"n": 3}, seed=5)
+    sidecar = save_sample_batch(csv_path, sample, "occupation", {"n": 3})
     text = csv_path.read_text().splitlines()
     assert text[0] == "occupation_n3_ray1,occupation_n3_ray2,occupation_n3_ray3"
     assert len(text) == 101
     parsed = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
     assert np.array_equal(parsed, rows)  # repr round-trips exactly
     info = json.loads((tmp_path / "occ.json").read_text())
-    assert info["law"] == "occupation"
+    assert info["law"] == "occupation" and info["seed"] == 5  # the sample's own seed
     assert info["n_samples"] == 100
     assert info["redraw_count"] == 0 and info["stream_count"] == 1
     assert sidecar.endswith("occ.json")
