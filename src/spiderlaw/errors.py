@@ -40,9 +40,10 @@ def integer(value, name, low, high=None) -> int:
 
 
 def real(value, name, low, high) -> float:
-    """``value`` as a float in the open interval (low, high)."""
+    """``value`` as a float in the open interval (low, high); NaN, None and
+    a string, numeric or not, do not pass."""
     try:
-        if low < float(value) < high:  # NaN fails too
+        if not isinstance(value, (str, bytes)) and low < float(value) < high:  # NaN fails too
             return float(value)
     except (TypeError, ValueError):
         pass

@@ -1,12 +1,13 @@
 """CSV rows of numpy columns as bytes, each field ``str`` of its ``.tolist()`` value.
 
 :func:`csv_rows` lays equal-length columns out as ``csv.writer`` would, a
-masked entry being an empty field.  Each block of about ``_BLOCK_CELLS``
-fields becomes one NUL-padded ``uint8`` matrix, a row per table row with
-the separators in place, and the matrix without its NULs is the block's
-text; the table is the list of its blocks' texts, which a writer passes to
-``writelines`` as they are.  :func:`field_bytes` gives a column's part of a
-block: one NUL-padded row per value.  A float field is ``repr`` of the value: its shortest round-trip
+blank entry of an ``output.Blanked`` column being an empty field.  Each
+block of about ``_BLOCK_CELLS`` fields becomes one NUL-padded ``uint8``
+matrix, a row per table row with the separators in place, and the matrix
+without its NULs is the block's text; the table is the list of its
+blocks' texts, which a writer passes to ``writelines`` as they are.
+:func:`field_bytes` gives a column's part of a block: one NUL-padded row
+per value.  A float field is ``repr`` of the value: its shortest round-trip
 digits, in fixed notation when the decimal point falls -3 to 16 places from
 the first digit (``0.0001``, ``1234.5``, and ``9999999999999998.0`` is the
 last) and otherwise as ``d.ddde±XX`` (``1e-05``, ``1e+16``).  An int field
@@ -33,6 +34,8 @@ digits, so no value is formatted alone.
 from __future__ import annotations
 
 import numpy as np
+
+from .output import Blanked
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
@@ -303,7 +306,8 @@ def field_bytes(values) -> np.ndarray:
 def csv_rows(columns) -> list:
     """Rows of equal-length columns as CSV, a block of about ``_BLOCK_CELLS``
     fields at a time, which keeps numpy's temporaries small: the list of the
-    blocks' bytes, in order, never joined into one copy."""
+    blocks' bytes, in order, never joined into one copy.  A column is an
+    array or an ``output.Blanked`` one."""
     step = max(1, _BLOCK_CELLS // len(columns))
     return [_block_rows([column[lo:lo + step] for column in columns])
             for lo in range(0, len(columns[0]), step)]
@@ -311,17 +315,20 @@ def csv_rows(columns) -> list:
 
 def _block_rows(columns) -> bytes:
     """Columns of one dtype are formatted as one array; each column's fields,
-    NUL rows where it is masked, then go between the separators."""
+    NUL rows where it is blank, then go between the separators."""
     rows = len(columns[0])
+    values = [column.values if isinstance(column, Blanked) else column
+              for column in columns]
     by_dtype = {}
-    for j, column in enumerate(columns):
+    for j, column in enumerate(values):
         by_dtype.setdefault(column.dtype, []).append(j)
     cells = [None] * len(columns)
     for group in by_dtype.values():
-        group_cells = field_bytes(np.concatenate([np.ma.getdata(columns[j]) for j in group]))
+        group_cells = field_bytes(np.concatenate([values[j] for j in group]))
         for i, j in enumerate(group):
             cells[j] = group_cells[i * rows:(i + 1) * rows]
-            cells[j][np.ma.getmaskarray(columns[j])] = 0
+            if isinstance(columns[j], Blanked):
+                cells[j][columns[j].blank] = 0
     parts = []
     for column_cells in cells:
         parts += [column_cells, np.broadcast_to(_COMMA, (rows, 1))]

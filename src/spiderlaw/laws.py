@@ -50,7 +50,13 @@ def _validate_rays(n):
 
 
 def _as_array(x, name, low, high, *, open_low=False, open_high=False):
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(x))
+    except (TypeError, ValueError):  # a ragged nesting, say
+        arr = np.array([], dtype=object)
+    if arr.dtype.kind not in "biuf":  # a string, None or another object
+        raise ParameterDomainError(f"{name} must be real: {x!r}")
+    arr = np.asarray(arr, dtype=float)
     too_low = (arr <= low) if open_low else (arr < low)
     too_high = (arr >= high) if open_high else (arr > high)
     if np.any(too_low | too_high | ~np.isfinite(arr)):
@@ -326,7 +332,11 @@ class _ArcSine(LawSpec):
 def integrate_density(law: LawSpec, a: float, b: float) -> float:
     """Integral of the law's density over [a, b] inside [0, 1], taken over
     the matching interval of L."""
-    if not (0.0 <= a <= b <= 1.0):
+    try:
+        inside = 0.0 <= a <= b <= 1.0
+    except TypeError:  # None or a string
+        inside = False
+    if not inside:
         raise ParameterDomainError(f"[{a}, {b}] outside support [0, 1]")
     ends = [float(_log_ratio_at(x, law.mu, law.p)) for x in (b, a)]
     return _integrate_log_ratio(law._log_ratio_pdf, law.mu, *ends)

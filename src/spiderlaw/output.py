@@ -3,10 +3,10 @@
 CSV follows the ``csv.writer`` default dialect: fields joined by ``,``, lines
 ended by ``\\r\\n``, and no field that needs quoting.  A field is ``str`` of
 the ``.tolist()`` value, which for a float is its shortest repr, so floats
-read back bit-exact; flags are passed as strings and a masked entry is an
-empty field.  The bytes come from numpy, not from ``str``
-(``fields.csv_rows``: a shortest-digits float kernel, ints by digit
-arithmetic, each block of rows one byte matrix).  A table is written in
+read back bit-exact; flags are passed as strings, and a :class:`Blanked`
+column's fields are empty on the rows its mask picks.  The bytes come from
+numpy, not from ``str`` (``fields.csv_rows``: a shortest-digits float
+kernel, ints by digit arithmetic, each block of rows one byte matrix).  A table is written in
 chunks of ``_CHUNK_ROWS`` rows, chunk k being the columns a pure function of
 k returns: an in-memory table slices its columns (:func:`sliced`), and a
 sample draws the chunk's rows from the chunk's own stream
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import mmap
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,21 @@ from .parallel import ordered_map
 
 _CHUNK_ROWS = 1 << 14  # rows per chunk: one formatting task, one sample stream
 _WAIT_S = 2e-4  # poll interval of a chunk waiting for its offset
+
+
+@dataclass(frozen=True)
+class Blanked:
+    """A column whose fields are empty where the boolean row mask ``blank``
+    is true; it slices by rows as an array does."""
+
+    values: np.ndarray
+    blank: np.ndarray
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        return Blanked(self.values[rows], self.blank[rows])
 
 
 def sliced(columns):

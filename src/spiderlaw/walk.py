@@ -26,7 +26,9 @@ First-return lengths are inverted from a table of P(T > 2k) up to 2**17
 steps, each entry the tail rounded down, built exactly from integers, and
 past it from the asymptotic inverse, checked against the tail P(T > 2k) in
 float where that decides and in 50-digit ``decimal`` where it does not.
-So every length below 2**53 steps is exact.
+So every length below 2**53 steps is exact.  Both table checks read at the
+first guess, the second through the table viewed one entry earlier (see
+:func:`_first_return_lengths`).
 
 Paths draw in rounds of a number of excursions fixed by the configuration
 and the rule.  Round r of path p draws from the package's one stream
@@ -35,6 +37,12 @@ p))`` and block r: a round advances only the counter's lowest word, so
 rounds never overlap.  One Philox serves a group of paths, re-keyed by
 :func:`~spiderlaw.rng.philox_state` before each draw, so path p is row p of
 a batch of any size, bit for bit, and groups can run in any process.
+
+Every round of a batch writes its draws, rays and lengths into the same
+three buffers, so their pages are first touched once per process, not once
+per round, and works in place where the values allow it (see
+:func:`_resolve`).  Each kept value goes through the same float operations,
+in the same order, as it would in fresh arrays.
 """
 from __future__ import annotations
 
@@ -45,7 +53,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, integer, real
-from .output import sliced, write_csv, write_json
+from .output import Blanked, sliced, write_csv, write_json
 from .parallel import ordered_map
 from .rng import composite_stream_id, philox_state
 
@@ -195,7 +203,7 @@ class StopBatch:
 # ---------------------------------------------------------------------------
 
 _RETURN_TABLE_K = 1 << 16
-_return_tail: np.ndarray | None = None
+_return_tail: np.ndarray | None = None  # inf, then the table
 
 
 def _return_tail_table() -> np.ndarray:
@@ -205,18 +213,21 @@ def _return_tail_table() -> np.ndarray:
 
     The integers L_0 = 2**128, L_k = floor(L_{k-1} (2k - 1) / (2k)) bound the
     tail as L_k <= 2**128 P(T > 2k) < L_k + k + 1, and the entry is the top
-    53 bits of L_k, which L_k + k + 1 shares at every k up to K."""
+    53 bits of L_k, which L_k + k + 1 shares at every k up to K.
+
+    The table starts one entry into ``_return_tail``, a buffer led by inf,
+    so the buffer holds entry k - 1 at index k."""
     global _return_tail
     if _return_tail is None:
-        tail, scaled = np.zeros(_RETURN_TABLE_K + 2), 1 << 128
-        tail[0] = 1.0
+        tail, scaled = np.zeros(_RETURN_TABLE_K + 3), 1 << 128
+        tail[:2] = math.inf, 1.0
         for k in range(1, _RETURN_TABLE_K + 1):
             scaled = scaled * (2 * k - 1) // (2 * k)
             shift = scaled.bit_length() - 53
             assert (scaled + k + 1) >> shift == scaled >> shift
-            tail[k] = math.ldexp(scaled >> shift, shift - 128)
+            tail[k + 1] = math.ldexp(scaled >> shift, shift - 128)
         _return_tail = tail
-    return _return_tail
+    return _return_tail[1:]
 
 
 # past the table the float tail is good to a few ulps; within this relative
@@ -257,15 +268,19 @@ def _tail_below(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     return below
 
 
-def _first_return_lengths(u: np.ndarray) -> np.ndarray:
-    """Invert uniforms on (0, 1] into first-return times of the +/-1 walk.
+def _first_return_lengths(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Invert uniforms on (0, 1] into first-return times of the +/-1 walk,
+    into ``out`` when it is given, which may be ``u`` itself.
 
     The length is 2k for the least k with P(T > 2k) < u.  The asymptotic
-    inverse k = floor(1/(pi u^2) - 1/4) + 1 is within one of it in the
-    table, so one step up and one step down against the table find it up to
-    2**17 steps, exactly.  Past the table, where float rounding of
-    1/(pi u^2) can move it by more, it steps against :func:`_tail_below`
-    until exact.
+    inverse k0 = floor(1/(pi u^2) - 1/4) + 1 is within one of it in the
+    table, so k = k0 + [tail(k0) >= u] - [tail(k0 - 1) < u] finds it up to
+    2**17 steps, exactly; the second check reads the buffer that holds
+    tail(k0 - 1) at k0, so no k0 - 1 is formed.  This is the same k as
+    stepping up first and checking down from there: when tail(k0) >= u,
+    tail(k0 - 1) >= u too, and the down check fails either way.  Past the
+    table, where float rounding of 1/(pi u^2) can move k0 by more, it steps
+    against :func:`_tail_below` until exact.
     A k of 2**52 or more stands: such an excursion alone reaches the 2**53
     bound on step totals.
     """
@@ -275,21 +290,30 @@ def _first_return_lengths(u: np.ndarray) -> np.ndarray:
     np.divide(1.0, k, out=k)
     k += 0.75
     np.floor(k, out=k)
-    idx = np.minimum(k, _RETURN_TABLE_K).astype(np.intp)
-    idx += tail[idx] >= u
-    idx -= tail[idx - 1] < u
-    far = idx > _RETURN_TABLE_K  # u <= P(T > 2K): only the sentinel lies below
-    lengths = np.where(far, k, idx)
-    far = np.flatnonzero(far)
-    far = far[k.take(far) < _EXACT_STEPS / 2]
-    k, u = k.take(far), u.take(far)
-    while (up := ~_tail_below(k, u)).any():
-        k += up
-    while (down := _tail_below(k - 1.0, u)).any():
-        k -= down
-    lengths.put(far, k)
-    lengths *= 2.0
-    return lengths
+    idx = np.empty(k.shape, np.intp)
+    np.minimum(k, _RETURN_TABLE_K, out=idx, casting="unsafe")  # k0 >= 1
+    edge = np.flatnonzero(idx == _RETURN_TABLE_K)  # only these can pass the table
+    k = k.take(edge)
+    up = tail.take(idx) >= u
+    idx -= _return_tail.take(idx) < u  # the entry before k0
+    idx += up
+    far = idx.take(edge) > _RETURN_TABLE_K  # u <= P(T > 2K): only the sentinel lies below
+    far, k = edge[far], k[far]
+    near = k < _EXACT_STEPS / 2
+    u = u.take(far[near])  # before ``out`` is written
+    if out is None:
+        out = np.empty(idx.shape)
+    np.copyto(out, idx)
+    if far.size:
+        out.put(far, k)
+        far, k = far[near], k[near]
+        while (up := ~_tail_below(k, u)).any():
+            k += up
+        while (down := _tail_below(k - 1.0, u)).any():
+            k -= down
+        out.put(far, k)
+    out *= 2.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +336,31 @@ def _block_size(config: SpiderConfig, rule: StoppingRule) -> int:
     return min(block, _ROUND_ELEMENTS)
 
 
-def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> dict:
+def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths,
+             buffers) -> dict:
     """Stop the paths with ids ``paths`` by ``rule``; returns column arrays.
+    ``buffers`` holds a round's draws, rays and lengths (see
+    :func:`_resolve_batch`).
 
     Per round, each live path makes one draw of 2 * block uniforms at its
     own key and the round's counter: the first block picks the rays
-    (floor(n v)), the second gives the first-return lengths (inverted from
-    1 - v, which lies in (0, 1]).
+    (floor(n v), the truncation of n v >= 0), the second gives the
+    first-return lengths (inverted from 1 - v, which lies in (0, 1]).
+
+    In place within a round: the ray uniforms become n v in ``draws``, the
+    lengths are inverted over the contiguous 1 - v, and the rule's progress
+    is added into the cumsum (IEEE addition commutes; local time's total is
+    the slot plus one, with no cumsum).  Once the crossing excursion's ray
+    and length are read, the lengths from the crossing slot on are zeroed
+    and each row's offset is added to its rays, so one ``bincount`` sums
+    the complete excursions per (path, ray), each in slot order.
     """
     n, m = config.n, len(paths)
+    seed = config.seed
+    draws_buffer, rays_buffer, lengths_buffer = buffers
     streams = [composite_stream_id(run_id, p) for p in paths]
     gen = np.random.Generator(np.random.Philox(0))
+    bit_generator, random = gen.bit_generator, gen.random
     block = _block_size(config, rule)
     thresh = float(rule.threshold(config))
     limit = float(_EXACT_STEPS)
@@ -334,45 +372,52 @@ def _resolve(config: SpiderConfig, rule: StoppingRule, run_id: int, paths) -> di
     last_zero = np.zeros(m)
     discarded = np.zeros(m, dtype=bool)
     alive = np.arange(m)
-    slot = np.arange(block)
+    steps_in_round = np.arange(1.0, block + 1.0)  # local time's running total
 
     r = 0  # the round, counter block of every key
     while alive.size:
         a = alive.size
-        draws = np.empty((a, 2, block))
-        for i, p in enumerate(alive):
-            gen.bit_generator.state = philox_state(config.seed, streams[p], r)
-            gen.random(out=draws[i])
+        draws = draws_buffer[:2 * a * block].reshape(a, 2, block)
+        for row, p in zip(draws, alive.tolist()):
+            bit_generator.state = philox_state(seed, streams[p], r)
+            random(out=row)
         r += 1
-        rays = np.floor(draws[:, 0] * n).astype(np.intp)
-        lengths = _first_return_lengths(1.0 - draws[:, 1])
+        v = draws[:, 0]
+        v *= n
+        rays = rays_buffer[:a * block].reshape(a, block)
+        np.copyto(rays, v, casting="unsafe")  # truncation, floor for v >= 0
+        lengths = lengths_buffer[:a * block].reshape(a, block)
+        np.subtract(1.0, draws[:, 1], out=lengths)  # contiguous, for the gathers
+        _first_return_lengths(lengths, out=lengths)
 
         if rule.kind == "fixed_time":
-            gain = lengths
+            cum = np.cumsum(lengths, axis=1)
+            cum += progress[alive, None]
         elif rule.kind == "inverse_occupation":
-            gain = np.where(rays == rule.ray - 1, lengths, 0.0)
+            cum = np.multiply(lengths, rays == rule.ray - 1)  # 0.0 off the ray
+            np.cumsum(cum, axis=1, out=cum)
+            cum += progress[alive, None]
         else:
-            gain = np.ones_like(lengths)
-        cum = progress[alive, None] + np.cumsum(gain, axis=1)
-        crossed = cum >= thresh
-        hit = crossed.any(axis=1)
-        pos = np.where(hit, crossed.argmax(axis=1), block)
-
-        # complete excursions before the crossing one (the whole round when
-        # the rule has not fired), summed per (path, ray) in one pass
+            cum = np.add(progress[alive, None], steps_in_round)
+        crossed = cum >= thresh  # the crossing slot and those after it
+        hit = crossed[:, -1]  # cum never falls, so a crossing shows in the last slot
         rows = np.arange(a)
-        flat = rays + (rows * n)[:, None]
-        weights = np.where(slot < pos[:, None], lengths, 0.0)
-        counts[alive] += np.bincount(flat.ravel(), weights.ravel(),
-                                     minlength=a * n).reshape(a, n)
+        h, ph = rows[hit], crossed.argmax(axis=1)[hit]
 
         # the crossing excursion is walked up to the threshold; one that
         # lands exactly on it (always so for local time) is complete
-        h, ph = rows[hit], pos[hit]
         idx = alive[h]
         ray_h, len_h = rays[h, ph], lengths[h, ph]
         exact = cum[h, ph] == thresh
         before = np.where(ph > 0, cum[h, ph - 1], progress[idx])
+
+        # complete excursions before the crossing one (the whole round when
+        # the rule has not fired), summed per (path, ray) in one pass
+        lengths[crossed] = 0.0
+        rays += (rows * n)[:, None]
+        counts[alive] += np.bincount(rays.ravel(), lengths.ravel(),
+                                     minlength=a * n).reshape(a, n)
+
         part = np.where(exact, len_h, thresh - before)
         counts[idx, ray_h] += part
         tau = counts[idx].sum(axis=1)
@@ -408,10 +453,15 @@ def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dic
     """
     group = _ROUND_ELEMENTS // _block_size(config, rule)
     _return_tail_table()  # built once here, not once per worker
+    # a round's draws, rays and lengths, reused by every round in each
+    # process: a fresh array's pages fault on first touch, about 2 us each
+    buffers = (np.empty(2 * _ROUND_ELEMENTS), np.empty(_ROUND_ELEMENTS, np.intp),
+               np.empty(_ROUND_ELEMENTS))
 
     def resolve_group(k):
         lo = k * group
-        return _resolve(config, rule, run_id, range(lo, min(lo + group, config.paths)))
+        return _resolve(config, rule, run_id, range(lo, min(lo + group, config.paths)),
+                        buffers)
 
     parts = list(ordered_map(resolve_group, -(-config.paths // group)))
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
@@ -450,7 +500,7 @@ def write_batch_csv(csv_path, batch: StopBatch):
     stats = list(fracs.T) + [batch.zero_visits, lz, batch.stopped_step]
     write_csv(csv_path, header, paths, sliced(
         [np.arange(paths)]
-        + [np.ma.masked_array(col, mask=disc) for col in stats]
+        + [Blanked(col, disc) for col in stats]
         + [np.where(disc, "true", "false")]))
 
 

@@ -20,6 +20,7 @@ from spiderlaw import (
     cauchy_square_convergence,
     composite_stream_id,
     fractional_moment,
+    integrate_density,
     kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
@@ -337,13 +338,16 @@ _REAL_INPUTS = {
     "sample_positive_stable.mu": lambda v: sample_positive_stable(v, RngStream(0), 1),
     "StoppingRule.level": StoppingRule.inverse_local_time,
     "fractional_moment.s": lambda v: fractional_moment(v, 0.5),
+    "arcsine cdf": LawSpec.arcsine().cdf,
+    "ratio_a pdf": LawSpec.ratio_a(0.5).pdf,
+    "integrate_density.a": lambda v: integrate_density(LawSpec.arcsine(), v, 1),
 }
 
 
 @pytest.mark.parametrize(
     "site,value",
     [(site, v) for site in _INTEGER_INPUTS for v in (1.5, math.nan, math.inf, None)]
-    + [(site, v) for site in _REAL_INPUTS for v in (math.nan, math.inf, None, "a")])
+    + [(site, v) for site in _REAL_INPUTS for v in (math.nan, math.inf, None, "a", "0.5")])
 def test_an_input_outside_its_domain_is_refused(site, value):
     # never truncated (1.5 as 1) and never a raw TypeError, ValueError or
     # OverflowError from int() or float()

@@ -1,7 +1,7 @@
 """The CSV format shared by every table, pinned against ``csv.writer``.
 
 Each writer must emit exactly what ``csv.writer`` writes with
-``repr(float(x))`` and ``str(int(x))`` fields, an empty field for a masked
+``repr(float(x))`` and ``str(int(x))`` fields, an empty field for a blank
 entry (CRLF line ends included), and every float must read back bit-exact.
 """
 import csv
@@ -121,8 +121,8 @@ def test_every_column_kind_is_written_as_csv_writer_would(tmp_path):
     mask = rng.random(rows) < 0.3
     mask[output._CHUNK_ROWS:2 * output._CHUNK_ROWS] = True
     columns = [np.arange(rows), ints, floats,
-               np.ma.masked_array(floats[::-1].copy(), mask=mask),
-               np.ma.masked_array(ints[::-1].copy(), mask=mask),
+               output.Blanked(floats[::-1].copy(), mask),
+               output.Blanked(ints[::-1].copy(), mask),
                np.where(mask, "true", "false")]
     header = ["id", "int", "float", "masked_float", "masked_int", "flag"]
     path = tmp_path / "t.csv"

@@ -100,6 +100,53 @@ def test_the_benchmark_tracer_records_its_spans():
     assert recorded["streams"] == 1
 
 
+def test_the_tracer_sees_each_walk_batch_stop_and_write(tmp_path):
+    # the tracer rebinds walk.stop_batch and walk.write_batch_csv, which
+    # run_walk_batch looks up by name; a batch run that stopped calling
+    # either would leave the inverse_walk layer metrics empty
+    script = (
+        "import json, sys, tracer\n"
+        "t = tracer.install()\n"
+        "import checks, workloads\n"
+        "workloads.WALK_PATHS = 300\n"
+        "assert workloads.run('inverse_walk', 1, sys.argv[1]) == 0\n"
+        "results, counts = checks.check_walk(sys.argv[1])\n"
+        "print(json.dumps({'spans': [[s['name'], s['counts']] for s in t.spans],\n"
+        "                  'counts': [[k[0], k[1], v] for k, v in counts.items()]}))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, str(ROOT / "perfbench")])}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    recorded = json.loads(out.splitlines()[-1])
+    stops = [(name, c) for name, c in recorded["spans"] if name.startswith("walk.inverse_")]
+    writes = [c for name, c in recorded["spans"] if name == "walk.write_batch_csv"]
+    assert len(stops) == len(writes) == len(recorded["counts"]) == 4
+    # spans come in batch order, the order check_walk counts the CSVs in
+    for (name, traced), write, (kind, n, checked) in zip(stops, writes, recorded["counts"]):
+        assert name == kind
+        assert traced["excursions"] == checked["excursions"] > 0
+        assert traced["paths"] == write["rows"] == checked["rows"] == 300
+        assert write["bytes"] == checked["bytes"]
+
+
+def test_walk_and_occupation_csvs_leave_numpy_ma_unloaded(tmp_path):
+    # the CSV writer blanks fields through a plain row mask; numpy.ma costs
+    # a process about 10 ms and 1 MiB to import
+    script = (
+        "import sys\n"
+        "from spiderlaw.cli import main\n"
+        "from spiderlaw.walk import SpiderConfig, StoppingRule, run_walk_batch\n"
+        "d = sys.argv[1]\n"
+        "run_walk_batch(SpiderConfig(n=3, steps=1000, paths=50, seed=1),\n"
+        "               StoppingRule.inverse_local_time(), d + '/w.csv', d + '/w.json')\n"
+        "assert main(['sample', '--law', 'occupation', '--n', '3', '--count', '1000',\n"
+        "             '--out', d + '/o.csv', '--deterministic']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split()[-1] == "False"
+
+
 def test_the_walk_outputs_keep_the_benchmark_contract(monkeypatch, tmp_path):
     # perfbench/checks.py reads the walk CSV columns, the discard flags and
     # the run manifest; a break there would otherwise show only in the

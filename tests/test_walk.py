@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -159,6 +160,65 @@ def test_path_draws_follow_the_philox_key_layout():
         assert stopped.counts[p, 1] == 2
         assert stopped.zero_visits[p] == 1 + 3 * r + k + (u[3 + k] < 0.5)
     assert later_rounds > 0
+
+
+# (n, steps, paths, rule, run id, lowered 2**53 bound or None) -> SHA-256 of
+# counts, stopped_step, zero_visits, last_zero_step and discarded, so a
+# faster round must keep every byte: each rule at n = 1, 3 and 8, a
+# fixed-time walk whose lengths reach past the 2**17-step table, and
+# lowered bounds that discard paths inside a round and between rounds
+_ENGINE_BYTES = {
+    (1, 2000, 300, "fixed_time", 3, None):
+        "6c5da533eba5a17a8f55f6a3a8c6b33c4e3d5154467765216379e19158a67e0b",
+    (3, 2000, 300, "fixed_time", 3, None):
+        "31cdb853341d694ecff1f85a0de0c7635fc231a3eaaa2fa07846d2afeed96d85",
+    (8, 2000, 300, "fixed_time", 3, None):
+        "240273b693a3dc4af1f68d61eb0872f9503fc4a860e2892d35a008c3864eddad",
+    (1, 2000, 300, "inverse_occupation", 3, None):
+        "250795b46714f769bab18e55aa29d259b0360a722910ae0717e6236c5111b79b",
+    (3, 2000, 300, "inverse_occupation", 3, None):
+        "1c18ad812db84c199714302efc2f7520f009b0808e8be149a8044e6d8fe219a2",
+    (8, 2000, 300, "inverse_occupation", 3, None):
+        "2a71a5c50cc5310319a476c8083ec8641377593bd6e4dd583b5461d6e15ba943",
+    (1, 2000, 300, "inverse_local_time", 3, None):
+        "e70dc414477647fe33408f185073fb4f21d3b97114b1a4547160a6048dfa4681",
+    (3, 2000, 300, "inverse_local_time", 3, None):
+        "a9599dcbfa5d5e434787047b3debdd61851e8ff3ae30fee906ce12b5e2adef6d",
+    (8, 2000, 300, "inverse_local_time", 3, None):
+        "c7ea4f07a9c5d2ff656df0afd6515d80ea881137fbb544669ae5c0679f9cdc20",
+    (3, 2 ** 22, 200, "fixed_time", 5, None):
+        "317029d14693829eaace4821aec2d0175dd912f078324848242661da42928db5",
+    (2, 1000, 300, "inverse_local_time", 6, 2000):
+        "35b3de968bc472213ae04fc7aff20bfb7d82016493cae05f0c0b171a1dc3ff56",
+    (3, 1000, 300, "inverse_occupation", 6, 4000):
+        "8ec8befba125ce67f80a7158ae6c5cdb455682945cb796a13d265835f0183fde",
+}
+
+
+def _engine_digest(batch):
+    digest = hashlib.sha256()
+    for column in ("counts", "stopped_step", "zero_visits", "last_zero_step", "discarded"):
+        values = getattr(batch, column)
+        digest.update(f"{column}:{values.dtype.str}:{values.shape}".encode())
+        digest.update(np.ascontiguousarray(values).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_BYTES), ids=str)
+def test_the_engine_keeps_its_bytes(case, monkeypatch):
+    n, steps, paths, kind, run_id, bound = case
+    if bound is not None:
+        monkeypatch.setattr(walk, "_EXACT_STEPS", bound)
+    config = SpiderConfig(n=n, steps=steps, paths=paths, seed=11)
+    rule = getattr(StoppingRule, kind)()
+    batch = stop_batch(config, rule, run_id=run_id)
+    if steps == 2 ** 22:  # some straddling excursion is inverted past the table
+        assert (batch.stopped_step - batch.last_zero_step > 2 * _RETURN_TABLE_K).any()
+    if bound is not None:
+        assert 0 < batch.discard_count < paths
+    if kind == "inverse_occupation" and n == 8:  # some path takes several rounds
+        assert (batch.zero_visits > walk._block_size(config, rule)).any()
+    assert _engine_digest(batch) == _ENGINE_BYTES[case]
 
 
 def test_conservation_every_path():
