@@ -3,15 +3,16 @@ and ``verify``.
 
 The worker count comes from the CPU affinity mask, which each test patches.
 Every table and column must be identical to the serial one at any count, and
-the serial cases must fork nothing: there ``multiprocessing.get_context``
-is made to fail.
+the serial cases must fork nothing: there ``os.fork`` is made to fail.  No
+test may leave a child process behind, whether its map returned, raised or
+was dropped.
 """
 import contextlib
 import json
 import math
-import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import numpy as np
@@ -29,7 +30,7 @@ from spiderlaw import (
     sample_stable_half,
     stop_batch,
 )
-from spiderlaw import cli, errors, gof, laws, output, samplers, suites, walk
+from spiderlaw import cli, errors, gof, laws, output, parallel, samplers, suites, walk
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
 from spiderlaw.parallel import ordered_map
@@ -47,25 +48,39 @@ def _use_cpus(monkeypatch, k):
 
 
 def _pool_sizes(monkeypatch) -> list:
-    """Record the size of every pool that ``ordered_map`` starts."""
-    sizes, real = [], multiprocessing.get_context
+    """Record the worker count of every map that forks: ``os.fork`` is
+    wrapped, and consecutive forks from one map's frame count as one map."""
+    sizes, last, real = [], [None], os.fork
 
-    class Context:
-        def __init__(self, method):
-            self.ctx = real(method)
+    def fork():
+        if parallel._in_worker:
+            raise AssertionError("a map forked inside a worker")
+        frame = sys._getframe(1)
+        if frame is last[0]:
+            sizes[-1] += 1
+        else:
+            last[0] = frame
+            sizes.append(1)
+        return real()
 
-        def Pool(self, processes, **kwargs):
-            if multiprocessing.current_process().daemon:
-                raise AssertionError("a pool was nested in a pool worker")
-            sizes.append(processes)
-            return self.ctx.Pool(processes, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "get_context", Context)
+    monkeypatch.setattr(os, "fork", fork)
     return sizes
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("a serial map started a pool")
+def _refuse():
+    raise AssertionError("a serial map forked")
+
+
+def _assert_no_child_left():
+    # reaps a zombie or returns (0, 0) for a live child instead of raising
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    yield
+    _assert_no_child_left()
 
 
 @contextlib.contextmanager
@@ -124,8 +139,8 @@ _ERRORS = {
 
 
 def test_every_package_error_reaches_the_caller_whole(monkeypatch):
-    # an error that failed to unpickle would stop the pool's result thread,
-    # and the map would wait for ever
+    # an error that failed to unpickle in the caller would reach it as an
+    # unpickling error, not as itself
     defined = {c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, Exception)
                and c.__module__ == errors.__name__}
@@ -158,27 +173,77 @@ def test_cpu_count_stands_in_for_a_missing_affinity_mask(monkeypatch):
 
 def test_serial_cases_fork_nothing(monkeypatch):
     square = lambda i: i * i  # noqa: E731
-    monkeypatch.setattr(multiprocessing, "get_context", _refuse)
+    monkeypatch.setattr(os, "fork", _refuse)
     _use_cpus(monkeypatch, 64)
     for count in (0, 1, 2, 3):  # fewer than two tasks per worker
         assert list(ordered_map(square, count)) == [i * i for i in range(count)]
     _use_cpus(monkeypatch, 1)
     assert list(ordered_map(square, 100)) == [i * i for i in range(100)]
     _use_cpus(monkeypatch, 64)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert list(ordered_map(square, 100)) == [i * i for i in range(100)]
 
 
-def test_a_daemonic_worker_maps_serially(monkeypatch):
-    # each outer task runs in a pool worker, where starting a pool must fail
+def test_a_map_inside_a_worker_runs_serially(monkeypatch):
+    # each outer task runs in a forked worker, where forking must fail
     _use_cpus(monkeypatch, 64)
 
     def task(i):
-        assert multiprocessing.current_process().daemon
-        multiprocessing.get_context = _refuse
+        assert parallel._in_worker
+        os.fork = _refuse
         return list(ordered_map(lambda j: i + j, 8))
 
     assert list(ordered_map(task, 4)) == [[i + j for j in range(8)] for i in range(4)]
+
+
+def _killed_in_a_worker(i, caller=os.getpid()):
+    """Task 3 sends its own worker SIGKILL, as an OOM kill would."""
+    if i == 3 and os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+def test_a_killed_worker_makes_the_map_raise(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    sizes = _pool_sizes(monkeypatch)
+    with _deadline(30), pytest.raises(RuntimeError, match="ended by signal 9"):
+        list(ordered_map(_killed_in_a_worker, 8))
+    assert sizes == [2]
+    _assert_no_child_left()
+
+
+def test_a_result_larger_than_a_pipe_buffer_comes_back_whole(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    sizes = _pool_sizes(monkeypatch)
+
+    def task(i):
+        return np.random.default_rng(i).bytes(1 << 20)
+
+    assert list(ordered_map(task, 4)) == [task(i) for i in range(4)]
+    assert sizes == [2]
+
+
+def test_a_consumer_that_stops_early_leaves_no_child(monkeypatch):
+    # the workers are still in their tasks when the map is dropped
+    _use_cpus(monkeypatch, 2)
+    sizes = _pool_sizes(monkeypatch)
+    for first in ordered_map(lambda i: time.sleep(0.05 * i) or i, 8):
+        break
+    assert first == 0
+    assert sizes == [2]
+    _assert_no_child_left()
+
+
+def test_an_error_that_cannot_be_pickled_still_reaches_the_caller(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+
+    def task(i):
+        if i == 3:
+            raise TaskFailed(lambda: i)  # a local function does not pickle
+        return i
+
+    with _deadline(30), pytest.raises(RuntimeError, match="task 3 gave TaskFailed"):
+        list(ordered_map(task, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +336,22 @@ def test_a_failed_chunk_reaches_the_caller(monkeypatch, tmp_path, cpus):
     with _deadline(30), pytest.raises(TaskFailed, match="chunk 1"):
         output.write_csv(tmp_path / "t.csv", ["i"], ROWS, chunk)
     assert sizes == [min(cpus, 8)]
-    assert not multiprocessing.active_children()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 64])
+def test_a_killed_chunk_worker_makes_the_write_raise(monkeypatch, tmp_path, cpus):
+    # the chunks after chunk 3 wait for an offset that its dead worker never
+    # sets, so their workers never finish on their own
+    monkeypatch.setattr(output, "_CHUNK_ROWS", 64)
+    _use_cpus(monkeypatch, cpus)
+    sizes = _pool_sizes(monkeypatch)
+    rows = output.sliced([np.arange(ROWS)])
+    with _deadline(30), pytest.raises(RuntimeError, match="ended by signal 9"):
+        output.write_csv(tmp_path / "t.csv", ["i"], ROWS,
+                         lambda k: rows(_killed_in_a_worker(k)))
+    assert sizes == [min(cpus, 8)]
+    _assert_no_child_left()
 
 
 def test_only_tallies_come_back_from_the_chunk_tasks(monkeypatch, tmp_path):

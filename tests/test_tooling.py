@@ -35,7 +35,8 @@ def test_a_density_run_loads_no_test_only_package():
 
 
 def test_a_bare_import_loads_no_multiprocessing():
-    assert "multiprocessing" not in _loaded_after("import spiderlaw")
+    # the fork map imports select and signal only when it forks
+    assert not _loaded_after("import spiderlaw") & {"multiprocessing", "select", "signal"}
 
 
 def test_the_float_kernel_loads_with_the_first_csv_not_with_the_package(tmp_path):
@@ -147,6 +148,32 @@ def test_walk_and_occupation_csvs_leave_numpy_ma_unloaded(tmp_path):
     assert out.split()[-1] == "False"
 
 
+def test_the_forked_maps_leave_multiprocessing_unloaded(tmp_path):
+    # a Pool cost the calling process the import and its handler threads'
+    # malloc arenas, about 3 MiB of peak RSS; each step below must fork
+    loaded = _loaded_after(
+        "import contextlib, io, os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "from spiderlaw import output, suites, walk\n"
+        "from spiderlaw.cli import main\n"
+        "from spiderlaw.walk import SpiderConfig, StoppingRule, run_walk_batch\n"
+        "output._CHUNK_ROWS, walk._ROUND_ELEMENTS = 64, 512\n"
+        "suites.TRANSFORM_SAMPLES, suites._OCCUPATION_PATHS = 20_000, 200\n"
+        f"d = {str(tmp_path)!r}\n"
+        "run_walk_batch(SpiderConfig(n=3, steps=1000, paths=50, seed=1),\n"
+        "               StoppingRule.inverse_local_time(), d + '/w.csv', d + '/w.json')\n"
+        "assert len(forks) == 2\n"
+        "assert main(['sample', '--law', 'occupation', '--n', '3', '--count', '1000',\n"
+        "             '--out', d + '/o.csv', '--deterministic']) == 0\n"
+        "assert len(forks) == 4\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['verify', '--suite', 'all', '--out', d + '/r.jsonl'])\n"
+        "assert len(forks) == 6\n")
+    assert "multiprocessing" not in loaded
+
+
 def test_the_walk_outputs_keep_the_benchmark_contract(monkeypatch, tmp_path):
     # perfbench/checks.py reads the walk CSV columns, the discard flags and
     # the run manifest; a break there would otherwise show only in the
@@ -176,7 +203,7 @@ def test_the_occupation_outputs_keep_the_benchmark_contract(monkeypatch, tmp_pat
     rows = 3 * (1 << 14) + 100
     monkeypatch.setattr(workloads, "OCCUPATION_ROWS", rows)
     # two CPUs, whatever the runner has, so the checks read a table whose
-    # chunks pool workers wrote
+    # chunks forked workers wrote
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert workloads.run("occupation_csv", 1, tmp_path) == 0
     results = checks.check_occupation(tmp_path, 1)
