@@ -18,7 +18,7 @@ import numpy as np
 from . import output
 from .errors import NonFiniteSamplesError, UsageError, integer
 from .laws import LawSpec, _validate_rays, ratio_power_cdf
-from .rng import RngStream, composite_stream_id
+from .rng import RngStream, composite_stream_id, occupation_run
 from .samplers import sample_occupation_exact
 from .walk import (
     DEFAULT_LOCAL_TIME_LEVEL,
@@ -208,7 +208,6 @@ def mc_transform_check(state: Moments, target, *, name="mc", seed=0) -> GofRepor
 # the occupation-law identity across stopping rules
 # ---------------------------------------------------------------------------
 
-_RUN_EXACT, _RUN_FIXED, _RUN_OCC, _RUN_LT = 0, 1, 2, 3
 _MAX_DISCARD_FRACTION = 0.01
 
 
@@ -229,17 +228,15 @@ def verify_occupation_identity(n, paths=10_000, steps=20_000, seed=0, *,
     n = _validate_rays(n)
     config = SpiderConfig(n=n, steps=steps, paths=paths, seed=seed)
 
-    exact_rng = RngStream(config.seed, composite_stream_id(_RUN_EXACT, 0))
+    exact_rng = RngStream(config.seed, composite_stream_id(occupation_run(n, "exact"), 0))
     vectors = {"exact": sample_occupation_exact(n, exact_rng, size=config.paths)}
     rules = {
-        "fixed_time": (StoppingRule.fixed_time(1.0), _RUN_FIXED),
-        "inverse_occupation": (
-            StoppingRule.inverse_occupation(DEFAULT_OCCUPATION_LEVEL, ray=2), _RUN_OCC),
-        "inverse_local_time": (
-            StoppingRule.inverse_local_time(DEFAULT_LOCAL_TIME_LEVEL), _RUN_LT),
+        "fixed_time": StoppingRule.fixed_time(1.0),
+        "inverse_occupation": StoppingRule.inverse_occupation(DEFAULT_OCCUPATION_LEVEL, ray=2),
+        "inverse_local_time": StoppingRule.inverse_local_time(DEFAULT_LOCAL_TIME_LEVEL),
     }
-    for label, (rule, run_id) in rules.items():
-        batch = stop_batch(config, rule, run_id=run_id)
+    for label, rule in rules.items():
+        batch = stop_batch(config, rule, run_id=occupation_run(n, label))
         discard_fraction = batch.discard_count / config.paths
         if discard_fraction > _MAX_DISCARD_FRACTION:
             raise UsageError(

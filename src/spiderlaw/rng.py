@@ -11,17 +11,11 @@ stream id, run or path index that is not an integer in its range raises
 :class:`~spiderlaw.errors.ParameterDomainError` (:func:`~spiderlaw.errors.integer`).
 
 :func:`composite_stream_id` packs a run index (high 32 bits) and a path index
-(low 32 bits) into one stream id.  Walk paths and ``RngStream`` share that
-namespace, so a walk path and a stream with the same id draw the same
-numbers; the runs in use are kept apart:
-
-- runs 0-3, walks: ``verify``'s occupation identity walks on runs 1-3 and
-  draws its exact sampler from ``composite_stream_id(0, 0)``; the benchmark
-  walks on runs 0-3; ``sample --law spider-walk`` walks on run 0;
-- run 8: ``sample``, chunk c in the low 32 bits (see
-  :mod:`spiderlaw.samplers`);
-- runs 64 and up: ``verify``'s transform batches, run 64 + k for task k and
-  chunk c in the low 32 bits (see :mod:`spiderlaw.suites`).
+(low 32 bits) into one stream id; a walk path and an ``RngStream`` with the
+same id draw the same numbers.  The run table below names every run each
+command draws from, and keeps one rule: no two draws within one command
+share a key.  So any two ``verify`` tasks draw independent streams, and only
+the reports of one task share draws.
 """
 from __future__ import annotations
 
@@ -33,6 +27,23 @@ from .errors import integer
 
 _U64 = 1 << 64
 _U32 = 1 << 32
+
+# the run table: every run a command draws from
+WALK_RUN = 0    # sample --law spider-walk: path p on composite_stream_id(0, p)
+SAMPLE_RUN = 8  # sample: chunk c on composite_stream_id(8, c)
+OCCUPATION_ROLES = ("exact", "fixed_time", "inverse_occupation", "inverse_local_time")
+
+
+def transform_run(task: int) -> int:
+    """``verify``'s transform task k: chunk c on ``composite_stream_id(64 + k, c)``."""
+    return 64 + task
+
+
+def occupation_run(n: int, role: str) -> int:
+    """``verify``'s occupation identity at n rays: role i on run 4(n - 2) + i, its
+    exact sampler on path 0.  n = 4 reaches run 8, which only ``sample`` draws
+    from; n >= 18 would reach the transform runs, so ``verify`` keeps to n < 18."""
+    return 4 * (n - 2) + OCCUPATION_ROLES.index(role)
 
 
 def philox_state(seed: int, stream_id: int, block: int = 0) -> dict:

@@ -27,9 +27,8 @@ A :class:`ChunkedSample` lays a large sample out in chunks of
 ``output._CHUNK_ROWS`` rows, chunk c drawn, redraws included, from its own
 Philox stream ``(seed, composite_stream_id(run_id, c))``, so a sample is
 never held whole: :func:`save_sample_batch` draws and writes it one chunk
-per task on run 8 (``_SAMPLE_RUN_ID``), and ``verify``'s transform batches
-fold it into their bands chunk by chunk on runs 64 and up (see the stream
-namespace listed in :mod:`spiderlaw.rng`).
+per task, and ``verify``'s transform batches fold it into their bands chunk
+by chunk, each on its run in the table of :mod:`spiderlaw.rng`.
 """
 from __future__ import annotations
 
@@ -42,7 +41,7 @@ from . import output
 from .errors import integer
 from .laws import _validate_mu, _validate_rays
 from .output import sidecar_path, write_csv, write_json
-from .rng import RngStream, composite_stream_id
+from .rng import SAMPLE_RUN, RngStream, composite_stream_id
 
 
 @dataclass
@@ -166,9 +165,6 @@ def sample_occupation_exact(n: int, rng: RngStream, size,
 # batch output
 # ---------------------------------------------------------------------------
 
-_SAMPLE_RUN_ID = 8  # stream namespace of sample chunks, clear of walk run ids
-
-
 @dataclass(frozen=True)
 class ChunkedSample:
     """``count`` rows of ``draw(rng, size, meta)``, each ``width`` values wide,
@@ -185,7 +181,7 @@ class ChunkedSample:
     count: int
     seed: int
     width: int
-    run_id: int = _SAMPLE_RUN_ID
+    run_id: int = SAMPLE_RUN
 
     def __len__(self):
         return self.count

@@ -45,6 +45,7 @@ from .laws import (
     stieltjes_transform,
 )
 from .parallel import ordered_map
+from .rng import transform_run
 from .samplers import ChunkedSample, sample_positive_stable, sample_ratio_X
 from .walk import _return_tail_table
 
@@ -70,9 +71,6 @@ OCCUPATION_RAYS = (2, 3)
 _OCCUPATION_PATHS = 10_000
 _OCCUPATION_STEPS = 20_000
 
-# verification streams live far above the walk engines' run ids
-_SUITE_RUN_BASE = 64
-
 
 def _deterministic_report(name, gap, tol) -> GofReport:
     return GofReport(name, float(gap), None, 0, 0, 0, float(tol), "stat_max")
@@ -90,9 +88,8 @@ def _reports(tasks):
 
 def _batch(seed, index, draw):
     """Task ``index``'s batch of ``TRANSFORM_SAMPLES`` draws of
-    ``draw(rng, size, meta)``, chunk by chunk: chunk c is drawn from stream
-    ``composite_stream_id(64 + index, c)``."""
-    batch = ChunkedSample(draw, TRANSFORM_SAMPLES, seed, 1, _SUITE_RUN_BASE + index)
+    ``draw(rng, size, meta)``, chunk by chunk, on its ``transform_run``."""
+    batch = ChunkedSample(draw, TRANSFORM_SAMPLES, seed, 1, transform_run(index))
     for c in range(batch.chunks):
         (values,), _ = batch.chunk(c)
         yield values
@@ -153,12 +150,11 @@ def transform_tasks(seed):
     """Laplace, Stieltjes, Mellin and fractional-moment bands at 4 sigma, and
     a KS test of X^mu, whose mean is infinite, against its closed-form CDF.
 
-    Per mu, one task draws a batch of stable draws S on run 64 + 2k for the
-    Laplace and moment checks, and one a batch of ratios X = S / S' on run
-    64 + 2k + 1 for the others.  A batch is drawn and reduced one chunk of
-    ``output._CHUNK_ROWS`` draws at a time, chunk c from its own stream
-    ``composite_stream_id(run, c)``.  Reports within one task share their
-    draws, so they are correlated.
+    Per mu, one task draws a batch of stable draws S for the Laplace and
+    moment checks, and one a batch of ratios X = S / S' for the others.  A
+    batch is drawn and reduced one chunk of ``output._CHUNK_ROWS`` draws at a
+    time (see :func:`_batch`).  Reports within one task share their draws, so
+    they are correlated.
     """
     tasks = []
     for k, mu in enumerate(TRANSFORM_MUS):

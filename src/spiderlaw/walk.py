@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ParameterDomainError, integer, real
 from .output import Blanked, sliced, write_csv, write_json
 from .parallel import ordered_map
-from .rng import composite_stream_id, philox_state
+from .rng import WALK_RUN, composite_stream_id, philox_state
 
 DEFAULT_OCCUPATION_LEVEL = 0.5
 DEFAULT_LOCAL_TIME_LEVEL = 1.0
@@ -471,7 +471,7 @@ def _resolve_batch(config: SpiderConfig, rule: StoppingRule, run_id: int) -> dic
 # stopping rules
 # ---------------------------------------------------------------------------
 
-def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = 0) -> StopBatch:
+def stop_batch(config: SpiderConfig, rule: StoppingRule, run_id: int = WALK_RUN) -> StopBatch:
     """Stop every path of the batch by ``rule``; discards are flagged, not dropped.
 
     A plain walk of ``config.steps`` steps is ``StoppingRule.fixed_time()``.
@@ -505,7 +505,7 @@ def write_batch_csv(csv_path, batch: StopBatch):
 
 
 def run_walk_batch(config: SpiderConfig, rule: StoppingRule, csv_path,
-                   manifest_path, run_id: int = 0, record_wall_time: bool = True):
+                   manifest_path, run_id: int = WALK_RUN, record_wall_time: bool = True):
     """Stop the batch by ``rule``, then write the per-path CSV and the JSON
     run manifest; ``record_wall_time=False`` writes a null ``wall_time_s``,
     for byte-stable output."""

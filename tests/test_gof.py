@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import tracemalloc
@@ -240,10 +241,16 @@ def test_verify_occupation_identity_small_scale():
 
 
 def test_occupation_identity_walks_clear_of_the_exact_stream(monkeypatch):
-    # walk paths and RngStream share one key namespace: the walks run on
-    # runs 1-3, the exact sampler on composite_stream_id(0, 0)
+    # walk paths and RngStream share one key namespace, and no two verify
+    # tasks draw from one key: at each ray count the three walks and the
+    # exact sampler draw on their own runs, clear of every other ray count's
+    # and of the transform tasks' chunks, whose runs come from the table
     build = rng.philox_state
-    walk_keys, stream_keys = set(), set()
+    seed, paths = 13, 500
+    chunks = range(-(-suites.TRANSFORM_SAMPLES // output._CHUNK_ROWS))
+    tasks = {f"transform {k}": {(seed, composite_stream_id(rng.transform_run(k), c))
+                                for c in chunks}
+             for k in range(len(suites.transform_tasks(seed)))}
 
     def recorder(keys):
         def record(seed, stream_id, block=0):
@@ -251,12 +258,20 @@ def test_occupation_identity_walks_clear_of_the_exact_stream(monkeypatch):
             return build(seed, stream_id, block)
         return record
 
-    monkeypatch.setattr(walk, "philox_state", recorder(walk_keys))
-    monkeypatch.setattr(rng, "philox_state", recorder(stream_keys))
-    verify_occupation_identity(3, paths=500, steps=1000, seed=13)
-    assert (13, composite_stream_id(0, 0)) in stream_keys
-    assert len(walk_keys) == 3 * 500
-    assert not walk_keys & stream_keys
+    for n in suites.OCCUPATION_RAYS:
+        walk_keys, stream_keys = set(), set()
+        monkeypatch.setattr(walk, "philox_state", recorder(walk_keys))
+        monkeypatch.setattr(rng, "philox_state", recorder(stream_keys))
+        verify_occupation_identity(n, paths=paths, steps=1000, seed=seed)
+        exact = composite_stream_id(rng.occupation_run(n, "exact"), 0)
+        assert stream_keys == {(seed, exact)}
+        assert len(walk_keys) == 3 * paths
+        assert not walk_keys & stream_keys
+        tasks[f"occupation n={n}"] = walk_keys | stream_keys
+    owners = collections.Counter(key for keys in tasks.values() for key in keys)
+    shared = {name: len([key for key in keys if owners[key] > 1])
+              for name, keys in tasks.items()}
+    assert not any(shared.values()), shared
 
 
 def test_occupation_tasks_build_the_first_return_table(monkeypatch):

@@ -30,7 +30,7 @@ from spiderlaw import (
     sample_stable_half,
     stop_batch,
 )
-from spiderlaw import cli, errors, gof, laws, output, parallel, samplers, suites, walk
+from spiderlaw import cli, errors, gof, laws, output, parallel, rng, samplers, suites, walk
 from spiderlaw.figures import write_curve_csv
 from spiderlaw.laws import DensityCurve
 from spiderlaw.parallel import ordered_map
@@ -377,7 +377,7 @@ def test_only_tallies_come_back_from_the_chunk_tasks(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# sample: chunk c is drawn from stream (seed, (_SAMPLE_RUN_ID, c))
+# sample: chunk c is drawn from stream (seed, (rng.SAMPLE_RUN, c))
 # ---------------------------------------------------------------------------
 
 R = 64  # rows per chunk, patched down from 16,384
@@ -393,7 +393,7 @@ def test_a_sample_chunk_depends_only_on_seed_and_index(monkeypatch, tmp_path):
     assert np.array_equal(tables[2 * R][R:], tables[3 * R + 5][R:2 * R])
     for c in range(4):
         rows = tables[3 * R + 5][c * R:(c + 1) * R]
-        stream = RngStream(2, composite_stream_id(samplers._SAMPLE_RUN_ID, c))
+        stream = RngStream(2, composite_stream_id(rng.SAMPLE_RUN, c))
         assert np.array_equal(rows, sample_occupation_exact(3, stream, len(rows)))
 
 
@@ -407,7 +407,7 @@ def test_sample_sidecar_counts_every_chunk(monkeypatch, tmp_path):
     redraws = []
     for c in range(5):
         meta = BatchMeta()
-        stream = RngStream(3, composite_stream_id(samplers._SAMPLE_RUN_ID, c))
+        stream = RngStream(3, composite_stream_id(rng.SAMPLE_RUN, c))
         sample_stable_half(stream, min(R, count - c * R), meta)
         redraws.append(meta.redraws)
     assert min(redraws) > 0
@@ -480,13 +480,14 @@ def test_verify_reports_do_not_depend_on_the_cpu_count(monkeypatch):
 
 def test_transform_batches_follow_the_chunk_stream_layout(monkeypatch):
     # 20,000 draws make two chunks, the second one partial; chunk c of task
-    # k's batch is drawn from stream (seed, (64 + k, c)) and folded in order
+    # k's batch is drawn from stream (seed, (rng.transform_run(k), c)) and
+    # folded in order
     monkeypatch.setattr(suites, "TRANSFORM_SAMPLES", 20_000)
     seed = 5
     sizes = (output._CHUNK_ROWS, 20_000 - output._CHUNK_ROWS)
 
     def chunks(k, draw):
-        return [draw(RngStream(seed, composite_stream_id(64 + k, c)), size)
+        return [draw(RngStream(seed, composite_stream_id(rng.transform_run(k), c)), size)
                 for c, size in enumerate(sizes)]
 
     def band(name, target, values):
